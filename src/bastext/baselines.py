@@ -12,6 +12,7 @@ import numpy as np
 from scipy import sparse
 
 from .corpus import Basket
+from .evaluation import order_pool
 
 
 class PopModel:
@@ -19,8 +20,7 @@ class PopModel:
 
     def __init__(self, counts: np.ndarray):
         self.counts = counts
-        # permutation of ids by count desc, ties by ascending id
-        self.ranking = np.lexsort((np.arange(len(counts)), -counts))
+        self.ranking = order_pool(counts, np.arange(len(counts)))
 
     @classmethod
     def fit(cls, train_baskets: list[Basket], num_products: int) -> "PopModel":
@@ -69,9 +69,6 @@ class ItemKnnModel:
     @property
     def num_products(self) -> int:
         return self.cooccurrence.shape[0]
-
-    def similarity(self, i: int, j: int) -> float:
-        return float(self.normalized[i].multiply(self.normalized[j]).sum())
 
     def score_all(self, context_ids: np.ndarray) -> np.ndarray:
         ctx = np.asarray(context_ids)[-1:] if self.last_item_only else np.asarray(context_ids)

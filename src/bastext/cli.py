@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, corpus, evaluation, model
-from .encoders import load_pretrained_vectors
+from .encoders import EncoderError, load_pretrained_vectors
 
 
 def _echo_config(args: argparse.Namespace, path: Path) -> None:
@@ -96,7 +96,6 @@ def cmd_train(args) -> int:
     config = _model_config(args)
     mdir = out / "models"
     mdir.mkdir(parents=True, exist_ok=True)
-    log_lines: list[str] = []
     state, lines = model.train(config, split.train, split.validation, catalog, vocab,
                                table, log=lambda s: print(s, flush=True))
     model.save_model(state, mdir / "model.bin")
@@ -136,12 +135,8 @@ def cmd_evaluate(args) -> int:
         raise SystemExit(f"error: unknown method {args.method!r}")
 
     ns = tuple(int(x) for x in args.ns.split(","))
-    kwargs = dict(ns=ns, mode=split.mode, pool=args.pool,
-                  test_product_ids=split.test_product_ids)
-    if args.method == "external":
-        report = evaluation.evaluate_external(scorer, cases, **kwargs)
-    else:
-        report = evaluation.evaluate(scorer, cases, method=args.method, **kwargs)
+    report = evaluation.evaluate(scorer, cases, ns=ns, method=args.method, mode=split.mode,
+                                 pool=args.pool, test_product_ids=split.test_product_ids)
     rdir = out / "reports"
     rdir.mkdir(parents=True, exist_ok=True)
     (rdir / f"{args.method}.json").write_text(report.to_json(), encoding="utf-8")
@@ -190,11 +185,10 @@ def cosine_to_all(vec: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 
 
 def _top_k(scores: np.ndarray, k: int, exclude=()) -> np.ndarray:
-    scores = scores.copy()
-    for e in exclude:
-        scores[e] = -np.inf
-    order = np.lexsort((np.arange(len(scores)), -scores))
-    return order[:k]
+    """The k best-scoring ids outside `exclude`, ties broken by ascending id."""
+    keep = np.ones(len(scores), dtype=bool)
+    keep[np.asarray(exclude, dtype=np.int64)] = False
+    return evaluation.order_pool(scores, np.flatnonzero(keep))[:k]
 
 
 def cmd_similar(args) -> int:
@@ -249,7 +243,7 @@ def _add_common(p):
     p.add_argument("--out", default="run", help="output directory (default: run)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1,
-                   help="worker cap; results are bit-identical at any value")
+                   help="accepted for compatibility; currently has no effect")
 
 
 def _add_model_flags(p):
@@ -325,7 +319,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (corpus.CorpusError, model.ModelError, evaluation.EvalError) as exc:
+    except (corpus.CorpusError, model.ModelError, evaluation.EvalError, EncoderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

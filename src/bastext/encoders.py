@@ -229,7 +229,6 @@ def _cnn_forward(params: CnnParams, table: WordInputTable, token_ids, dropout_ra
 
     pooled_parts = []
     per_width = {}
-    f_idx = None
     for w in params.widths:
         lw = lmax - w + 1
         fw = params.filters[w]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,8 +66,9 @@ def form_test_cases(split: DatasetSplit) -> list[TestCase]:
     return cases
 
 
-def _rank_in_pool(scores: np.ndarray, pool_mask: np.ndarray, held: int) -> float:
-    """1-based rank of `held` among pool members, ties broken by ascending id."""
+def rank_in_pool(scores: np.ndarray, pool_mask: np.ndarray, held: int) -> float:
+    """1-based rank of `held` among pool members by descending score, ties broken
+    by ascending id; inf when `held` is outside the pool."""
     if not pool_mask[held]:
         return np.inf
     sh = scores[held]
@@ -76,13 +77,17 @@ def _rank_in_pool(scores: np.ndarray, pool_mask: np.ndarray, held: int) -> float
     return float(1 + higher + tied_before)
 
 
+def order_pool(scores: np.ndarray, pool_ids: np.ndarray) -> np.ndarray:
+    """`pool_ids` ordered by descending score, ties broken by ascending id."""
+    pool = np.asarray(pool_ids)
+    return pool[np.lexsort((pool, -scores[pool]))]
+
+
 def rank_candidates(case: TestCase, scorer, candidate_pool: np.ndarray) -> np.ndarray:
-    """Pool ids ordered by descending score, ties broken by ascending id."""
-    pool = np.asarray(candidate_pool)
-    if np.isin(pool, case.context_ids).any():
+    """The case's candidate pool in `order_pool` order of its scores."""
+    if np.isin(candidate_pool, case.context_ids).any():
         raise EvalError("candidate pool must exclude the context")
-    scores = scorer.score_all(case.context_ids)[pool]
-    return pool[np.lexsort((pool, -scores))]
+    return order_pool(scorer.score_all(case.context_ids), candidate_pool)
 
 
 def recall_at_n(ranks, n: int) -> float:
@@ -102,28 +107,29 @@ def mrr_at_n(ranks, n: int) -> float:
     return float(np.mean(contrib))
 
 
-def _pool_mask(num_products: int, case: TestCase, pool: str,
-               test_product_ids) -> np.ndarray:
-    if pool == "all":
-        mask = np.ones(num_products, dtype=bool)
-    elif pool == "test-products":
-        mask = np.zeros(num_products, dtype=bool)
-        mask[sorted(test_product_ids)] = True
-    else:
-        raise EvalError(f"unknown candidate pool {pool!r}")
-    mask[case.context_ids] = False
-    return mask
-
-
 def compute_ranks(scorer, test_cases: list[TestCase], pool: str = "all",
                   test_product_ids=None) -> np.ndarray:
-    """1-based rank of every case's held-out product (inf when outside the pool)."""
-    num_products = scorer.num_products
+    """1-based rank of every case's held-out product (inf when outside the pool).
+
+    An `ExternalScorer` supplies case i's scores by index; every other scorer
+    scores the case's context with `score_all`.
+    """
+    if pool == "all":
+        mask = np.ones(scorer.num_products, dtype=bool)
+    elif pool == "test-products":
+        mask = np.zeros(scorer.num_products, dtype=bool)
+        mask[list(test_product_ids)] = True
+    else:
+        raise EvalError(f"unknown candidate pool {pool!r}")
+    external = isinstance(scorer, ExternalScorer)
     ranks = np.empty(len(test_cases))
     for i, case in enumerate(test_cases):
-        scores = scorer.score_all(case.context_ids)
-        mask = _pool_mask(num_products, case, pool, test_product_ids)
-        ranks[i] = _rank_in_pool(scores, mask, case.held_out_id)
+        scores = scorer.scores_for_case(i) if external else scorer.score_all(case.context_ids)
+        ctx = case.context_ids
+        kept = mask[ctx]
+        mask[ctx] = False
+        ranks[i] = rank_in_pool(scores, mask, case.held_out_id)
+        mask[ctx] = kept
     return ranks
 
 
@@ -153,7 +159,6 @@ class ExternalScorer:
     def __init__(self, per_case: dict[int, tuple[np.ndarray, np.ndarray]], num_products: int):
         self.per_case = per_case
         self.num_products = num_products
-        self._current = 0
 
     @classmethod
     def load(cls, path, num_products: int) -> "ExternalScorer":
@@ -169,6 +174,8 @@ class ExternalScorer:
                 vals = np.array([float(b) for _, b in pairs])
             except ValueError as exc:
                 raise EvalError(f"{path}:{lineno}: malformed score line") from exc
+            if ((ids < 0) | (ids >= num_products)).any():
+                raise EvalError(f"{path}:{lineno}: product id out of range")
             per_case[idx] = (ids, vals)
         return cls(per_case, num_products)
 
@@ -179,20 +186,3 @@ class ExternalScorer:
         out = np.full(self.num_products, -np.inf)
         out[ids] = vals
         return out
-
-
-def evaluate_external(scorer: ExternalScorer, test_cases: list[TestCase], ns=(10, 20),
-                      mode: str = "warm", pool: str = "all",
-                      test_product_ids=None) -> EvalReport:
-    ranks = np.empty(len(test_cases))
-    for i, case in enumerate(test_cases):
-        scores = scorer.scores_for_case(i)
-        mask = _pool_mask(scorer.num_products, case, pool, test_product_ids)
-        ranks[i] = _rank_in_pool(scores, mask, case.held_out_id)
-    metrics = {}
-    for n in sorted(ns):
-        metrics[f"recall@{n}"] = recall_at_n(ranks, n)
-        metrics[f"mrr@{n}"] = mrr_at_n(ranks, n)
-    fp = hashlib.sha256(
-        f"external|{mode}|{pool}|{sorted(ns)}|{len(test_cases)}".encode()).hexdigest()[:16]
-    return EvalReport("external", mode, pool, metrics, len(test_cases), fp)

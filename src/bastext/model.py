@@ -10,11 +10,10 @@ uniform negatives resampled fresh at every mini-batch, optimized with Adam.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import struct
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -22,6 +21,7 @@ from scipy.special import expit
 from .corpus import Basket, Catalog, CorpusError, TrainingExample, Vocabulary, encode_catalog
 from .encoders import (CnnParams, MovParams, WordInputTable, backward_batch,
                        encode_batch, init_cnn, init_mov)
+from .evaluation import rank_in_pool
 
 MODEL_MAGIC = b"BSTX"
 MODEL_VERSION = 1
@@ -305,13 +305,13 @@ def _validation_recall(state: ModelState, catalog: Catalog, cases, n: int = 20) 
     if not cases:
         return float("nan")
     vectors = materialize_product_vectors(state, catalog)
+    pool = np.ones(len(catalog), dtype=bool)
     hits = 0
     for ctx, held in cases:
         s = vectors.embedding @ basket_vector(ctx, vectors.context)
-        s[ctx] = -np.inf
-        sh = s[held]
-        rank = 1 + int(np.sum(s > sh)) + int(np.sum((s == sh) & (np.arange(len(s)) < held)))
-        hits += rank <= n
+        pool[ctx] = False
+        hits += rank_in_pool(s, pool, held) <= n
+        pool[ctx] = True
     return hits / len(cases)
 
 
@@ -340,6 +340,9 @@ def train(config: ModelConfig, train_baskets: list[Basket], validation_baskets: 
     num_products = len(catalog)
 
     members = [b.product_ids for b in train_baskets]
+    if any(len(m) >= num_products for m in members):
+        raise ModelError("a training basket holds every catalog product; "
+                         "no negative can be sampled for it")
     pos_basket = np.concatenate(
         [np.full(len(m), i, dtype=np.int64) for i, m in enumerate(members)])
     pos_slot = np.concatenate([np.arange(len(m), dtype=np.int64) for m in members])
@@ -443,6 +446,13 @@ def load_model(path) -> ModelState:
     (hlen,) = struct.unpack_from("<Q", data, 8)
     if len(data) < 16 + hlen:
         raise ModelError(f"{path}: truncated header")
+    try:
+        return _decode_model(data, hlen, path)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ModelError(f"{path}: corrupt model header: {exc!r}") from exc
+
+
+def _decode_model(data: bytes, hlen: int, path) -> ModelState:
     header = json.loads(data[16: 16 + hlen].decode("utf-8"))
     cfg_dict = dict(header["config"])
     cfg_dict["cnn_widths"] = tuple(cfg_dict["cnn_widths"])
@@ -461,6 +471,8 @@ def load_model(path) -> ModelState:
         tensors[spec["name"]] = np.frombuffer(
             data[offset:end], dtype="<f4").reshape(shape).copy()
         offset = end
+    if offset != len(data):
+        raise ModelError(f"{path}: {len(data) - offset} trailing bytes after the last tensor")
 
     tmeta = header["table"]
     if tmeta["mode"] == "onehot":

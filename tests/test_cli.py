@@ -100,6 +100,51 @@ def test_query_commands_smoke(tmp_path, raw_corpus, capsys):
     assert eid0 not in shown and eid1 not in shown  # context excluded
 
 
+def test_queries_never_return_excluded_products(tmp_path, raw_corpus, capsys):
+    out = tmp_path / "run"
+    _pipeline(out, raw_corpus, epochs=1)
+    catalog, _ = cli._load_corpus(out)
+    m = len(catalog)
+    eid0, eid1 = catalog.products[0].external_id, catalog.products[1].external_id
+    capsys.readouterr()
+
+    for cmd in ("similar", "alsobuy"):
+        assert _run([cmd, eid0, "--out", out, "--top-n", m + 10]) == 0
+        shown = [l.split("\t")[0] for l in capsys.readouterr().out.strip().splitlines()]
+        assert len(shown) == m - 1 and eid0 not in shown, cmd
+
+    assert _run(["next", eid0, eid1, "--out", out, "--top-n", m + 10]) == 0
+    shown = [l.split("\t")[0] for l in capsys.readouterr().out.strip().splitlines()]
+    assert len(shown) == m - 2 and eid0 not in shown and eid1 not in shown
+
+    assert _run(["search", catalog.products[0].title, "--out", out, "--top-n", m + 10]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == m
+
+
+def test_bad_pretrained_file_exits_1(tmp_path, raw_corpus, capsys):
+    out = tmp_path / "run"
+    cat, bsk = raw_corpus
+    assert _run(["ingest", "--format", "canonical", cat, bsk, "--out", out]) == 0
+    assert _run(["split", "--out", out]) == 0
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("apple\n")
+    capsys.readouterr()
+    assert _run(["train", "--out", out, "--epochs", "1", "--pretrained", vectors]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_corrupt_model_exits_1(tmp_path, raw_corpus, capsys):
+    out = tmp_path / "run"
+    _pipeline(out, raw_corpus, epochs=1)
+    path = out / "models" / "model.bin"
+    blob = path.read_bytes()
+    path.write_bytes(blob[:16] + b"x" + blob[17:])
+    eid0 = cli._load_corpus(out)[0].products[0].external_id
+    capsys.readouterr()
+    assert _run(["similar", eid0, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_external_scores_path(tmp_path, raw_corpus, capsys):
     out = tmp_path / "run"
     cat, bsk = raw_corpus

@@ -4,8 +4,8 @@ import pytest
 from bastext.baselines import PopModel
 from bastext.corpus import Basket, DatasetSplit, split_warm
 from bastext.evaluation import (EvalError, ExternalScorer, TestCase, compute_ranks,
-                                evaluate, evaluate_external, form_test_cases,
-                                mrr_at_n, rank_candidates, recall_at_n)
+                                evaluate, form_test_cases, mrr_at_n, order_pool,
+                                rank_candidates, rank_in_pool, recall_at_n)
 from bastext.synthetic import make_random_corpus
 
 
@@ -202,8 +202,9 @@ def test_external_scorer_round_trip(tmp_path):
     f = tmp_path / "scores.tsv"
     f.write_text("0\t0:0.9,1:0.5\n1\t1:0.8,2:0.1\n")
     scorer = ExternalScorer.load(f, 3)
-    report = evaluate_external(scorer, cases, ns=(1,))
+    report = evaluate(scorer, cases, ns=(1,), method="external")
     assert report.metrics["recall@1"] == 1.0
+    assert report.method == "external"
 
 
 def test_external_scorer_unlisted_products_rank_last(tmp_path):
@@ -221,7 +222,7 @@ def test_external_scorer_missing_case_fatal(tmp_path):
     scorer = ExternalScorer.load(f, 4)
     cases = [TestCase(np.array([0]), 1, "a"), TestCase(np.array([0]), 2, "b")]
     with pytest.raises(EvalError, match="missing case 1"):
-        evaluate_external(scorer, cases)
+        evaluate(scorer, cases, method="external")
 
 
 def test_external_scorer_malformed_fatal(tmp_path):
@@ -229,3 +230,44 @@ def test_external_scorer_malformed_fatal(tmp_path):
     f.write_text("0\t1:not-a-number\n")
     with pytest.raises(EvalError):
         ExternalScorer.load(f, 4)
+
+
+@pytest.mark.parametrize("bad_id", ["-1", "4"])
+def test_external_scorer_out_of_range_id_fatal(tmp_path, bad_id):
+    f = tmp_path / "scores.tsv"
+    f.write_text(f"0\t1:0.5\n1\t{bad_id}:0.9\n")
+    with pytest.raises(EvalError, match=r"scores.tsv:2: product id out of range"):
+        ExternalScorer.load(f, 4)
+
+
+# ---------------------------------------------------------------------------
+# Ranking kernels
+# ---------------------------------------------------------------------------
+
+def test_rank_in_pool_ties_and_pool():
+    scores = np.array([0.5, 0.9, 0.5, 0.5, 0.1])
+    pool = np.array([True, True, False, True, True])
+    assert rank_in_pool(scores, pool, 1) == 1.0
+    assert rank_in_pool(scores, pool, 0) == 2.0
+    assert rank_in_pool(scores, pool, 3) == 3.0  # id 2 is tied but outside the pool
+    assert rank_in_pool(scores, pool, 4) == 4.0
+    assert rank_in_pool(scores, pool, 2) == np.inf
+
+
+def test_order_pool_matches_rank_in_pool():
+    rng = np.random.default_rng(3)
+    scores = rng.integers(0, 4, size=40).astype(np.float64)
+    pool_ids = np.sort(rng.choice(40, size=25, replace=False))
+    mask = np.zeros(40, dtype=bool)
+    mask[pool_ids] = True
+    order = order_pool(scores, pool_ids)
+    assert sorted(order) == list(pool_ids)
+    for pos, pid in enumerate(order, 1):
+        assert rank_in_pool(scores, mask, pid) == pos
+
+
+def test_compute_ranks_context_exclusion_is_per_case():
+    """One case's context leaves the pool for that case only."""
+    cases = [TestCase(np.array([1]), 0, "a"), TestCase(np.array([0]), 1, "b")]
+    ranks = compute_ranks(FixedScorer([0.2, 0.9, 0.5]), cases)
+    assert list(ranks) == [2.0, 1.0]

@@ -244,6 +244,25 @@ def test_train_empty_fatal(tiny_catalog, tiny_vocab):
         train(cfg, [], [], tiny_catalog, tiny_vocab)
 
 
+def test_train_basket_covering_catalog_fatal(tiny_catalog, tiny_vocab):
+    """No negative exists for a basket holding every product: fail fast, never hang."""
+    import signal
+
+    def hang(signum, frame):
+        raise AssertionError("train did not return")
+
+    full = Basket(np.arange(len(tiny_catalog), dtype=np.int64), "all")
+    part = Basket(np.array([0, 1], dtype=np.int64), "part")
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(20)
+    try:
+        with pytest.raises(ModelError, match="every catalog product"):
+            train(ModelConfig(k=4, epochs=1), [part, full], [], tiny_catalog, tiny_vocab)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_train_loss_decreases_and_log_format():
     cat, baskets, _, _ = make_planted_corpus(num_baskets=500)
     vocab = build_vocabulary(cat)
@@ -362,6 +381,50 @@ def test_load_truncated_fatal(tmp_path):
         bad.write_bytes(blob[:cut])
         with pytest.raises(ModelError):
             load_model(bad)
+
+
+def _rewrite_header(blob: bytes, edit) -> bytes:
+    """The model container with its JSON header replaced by `edit(header_bytes)`."""
+    import struct
+
+    (hlen,) = struct.unpack_from("<Q", blob, 8)
+    header = edit(blob[16: 16 + hlen])
+    return blob[:8] + struct.pack("<Q", len(header)) + header + blob[16 + hlen:]
+
+
+def test_load_corrupt_header_fatal(tmp_path):
+    _, _, state, _ = _train_small(epochs=1)
+    path = tmp_path / "model.bin"
+    save_model(state, path)
+    path.write_bytes(_rewrite_header(path.read_bytes(), lambda h: b"x" + h[1:]))
+    with pytest.raises(ModelError, match="corrupt model header"):
+        load_model(path)
+
+
+def test_load_missing_header_key_fatal(tmp_path):
+    import json
+
+    _, _, state, _ = _train_small(epochs=1)
+    path = tmp_path / "model.bin"
+    save_model(state, path)
+
+    def drop_hash(h):
+        header = json.loads(h)
+        del header["catalog_hash"]
+        return json.dumps(header).encode()
+
+    path.write_bytes(_rewrite_header(path.read_bytes(), drop_hash))
+    with pytest.raises(ModelError, match="catalog_hash"):
+        load_model(path)
+
+
+def test_load_trailing_bytes_fatal(tmp_path):
+    _, _, state, _ = _train_small(epochs=1)
+    path = tmp_path / "model.bin"
+    save_model(state, path)
+    path.write_bytes(path.read_bytes() + b"\0\0\0\0")
+    with pytest.raises(ModelError, match="4 trailing bytes"):
+        load_model(path)
 
 
 def test_load_bad_magic_fatal(tmp_path):
