@@ -57,9 +57,16 @@ def cmd_ingest(args) -> int:
     return 0
 
 
+def _parse_list(text: str, kind, error, flag: str) -> tuple:
+    try:
+        return tuple(kind(x) for x in text.split(","))
+    except ValueError:
+        raise error(f"{flag} takes comma-separated {kind.__name__} values, got {text!r}") from None
+
+
 def cmd_split(args) -> int:
+    ratios = _parse_list(args.ratios, float, corpus.CorpusError, "--ratios")
     catalog, baskets = _load_corpus(Path(args.out))
-    ratios = tuple(float(x) for x in args.ratios.split(","))
     if args.cold:
         split = corpus.split_cold(baskets, ratios, args.cold_fraction, args.seed)
     else:
@@ -107,6 +114,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    ns = _parse_list(args.ns, int, evaluation.EvalError, "--ns")
     out = Path(args.out)
     catalog, baskets = _load_corpus(out)
     split = _load_split(out, "cold" if args.cold else "warm", catalog, baskets)
@@ -134,7 +142,6 @@ def cmd_evaluate(args) -> int:
     else:
         raise SystemExit(f"error: unknown method {args.method!r}")
 
-    ns = tuple(int(x) for x in args.ns.split(","))
     report = evaluation.evaluate(scorer, cases, ns=ns, method=args.method, mode=split.mode,
                                  pool=args.pool, test_product_ids=split.test_product_ids)
     rdir = out / "reports"
@@ -151,6 +158,8 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_for_query(args):
+    if args.top_n < 1:
+        raise SystemExit(f"error: --top-n must be >= 1, got {args.top_n}")
     out = Path(args.out)
     catalog, _ = _load_corpus(out)
     state = model.load_model(args.model or out / "models" / "model.bin")
@@ -224,12 +233,10 @@ def cmd_search(args) -> int:
 
 
 def cmd_next(args) -> int:
-    from scipy.special import expit
-
     catalog, state, vectors = _load_for_query(args)
     ctx = np.array([_resolve(catalog, e) for e in args.context], dtype=np.int64)
     bias = float(state.bias[0]) if state.config.use_bias else 0.0
-    scores = expit(vectors.embedding @ model.basket_vector(ctx, vectors.context) + bias)
+    scores = model.BastextScorer(vectors, bias).score_all(ctx)
     top = _top_k(scores, args.top_n, exclude=ctx)
     _print_top(catalog, top, scores[top])
     return 0

@@ -346,8 +346,8 @@ def encode_catalog(catalog: Catalog, vocab: Vocabulary) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def _partition(baskets: list[Basket], ratios, seed: int) -> tuple[list[Basket], list[Basket], list[Basket]]:
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise CorpusError(f"split ratios must sum to 1, got {ratios}")
+    if len(ratios) != 3 or min(ratios) < 0 or abs(sum(ratios) - 1.0) > 1e-9:
+        raise CorpusError(f"split ratios must be 3 nonnegative numbers summing to 1, got {ratios}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(baskets))
     n_train = int(round(ratios[0] * len(baskets)))
@@ -400,6 +400,9 @@ def split_cold(baskets: list[Basket], ratios=(0.85, 0.05, 0.10),
     occurring in test baskets and removed from every training basket; validation
     is then filtered warm-style against the reduced training set.
     """
+    if not 0.0 < test_product_fraction <= 1.0:
+        raise CorpusError(
+            f"cold test-product fraction must lie in (0, 1], got {test_product_fraction}")
     tr, va, te = _partition(baskets, ratios, seed)
     if not tr or not te:
         raise CorpusError("cold split produced an empty train or test set")
@@ -473,15 +476,38 @@ def load_split_manifest(path, catalog: Catalog, baskets: list[Basket]) -> Datase
 # Training examples
 # ---------------------------------------------------------------------------
 
+def basket_csr(baskets: list[Basket]) -> tuple[np.ndarray, np.ndarray]:
+    """Baskets as CSR arrays: basket r's members are `indices[indptr[r]:indptr[r + 1]]`."""
+    lens = np.array([len(b) for b in baskets], dtype=np.int64)
+    indptr = np.concatenate([[0], np.cumsum(lens)])
+    indices = np.concatenate([np.zeros(0, dtype=np.int64)] + [b.product_ids for b in baskets])
+    return indptr, indices
+
+
+def leave_one_out(indptr: np.ndarray, indices: np.ndarray, pos: np.ndarray):
+    """Hold out the member at each flat position `pos[i]`; the rest of its basket,
+    in member order, is case i's context.
+
+    Returns `(held, ctx_flat, ctx_lens, rows)`: the held-out ids, the contexts
+    concatenated in case order, each context's length and each case's basket row.
+    """
+    rows = np.searchsorted(indptr, pos, side="right") - 1
+    starts = indptr[rows]
+    ctx_lens = indptr[rows + 1] - starts - 1
+    case = np.repeat(np.arange(len(pos)), ctx_lens)
+    slot = np.arange(int(ctx_lens.sum())) - np.repeat(np.cumsum(ctx_lens) - ctx_lens, ctx_lens)
+    src = starts[case] + slot + (slot >= (pos - starts)[case])
+    return indices[pos], indices[src], ctx_lens, rows
+
+
 def form_positive_examples(basket: Basket) -> list[TrainingExample]:
     """Leave-one-out positives: one example per product in the basket."""
     if len(basket) < 2:
         raise CorpusError("positive examples need baskets of size >= 2")
-    out = []
-    for k in range(len(basket)):
-        ctx = np.delete(basket.product_ids, k)
-        out.append(TrainingExample(ctx, int(basket.product_ids[k]), +1))
-    return out
+    indptr, indices = basket_csr([basket])
+    held, ctx_flat, ctx_lens, _ = leave_one_out(indptr, indices, np.arange(len(basket)))
+    return [TrainingExample(c, int(h), +1)
+            for h, c in zip(held, np.split(ctx_flat, np.cumsum(ctx_lens)[:-1]))]
 
 
 def sample_negatives(positive: TrainingExample, n: int, num_products: int,
@@ -489,17 +515,14 @@ def sample_negatives(positive: TrainingExample, n: int, num_products: int,
     """Draw n uniform negatives sharing the positive's context.
 
     Candidates are uniform over products outside context ∪ {positive candidate},
-    sampled independently with replacement across the n draws.
+    sampled independently with replacement across the n draws, by the trainer's sampler.
     """
+    from .model import _sample_negative_matrix
+
     if n < 1:
         raise ValueError("negative ratio must be >= 1")
-    excluded = np.append(positive.context_ids, positive.candidate_id)
-    if num_products <= len(np.unique(excluded)):
+    excluded = np.unique(np.append(positive.context_ids, positive.candidate_id))
+    if num_products <= len(excluded):
         raise ValueError("no eligible negative candidates exist")
-    draws = np.empty(n, dtype=np.int64)
-    pending = np.arange(n)
-    while len(pending):
-        cand = rng.integers(0, num_products, size=len(pending))
-        draws[pending] = cand
-        pending = pending[np.isin(cand, excluded)]
-    return [TrainingExample(positive.context_ids, int(j), -1) for j in draws]
+    draws = _sample_negative_matrix(np.zeros(1, dtype=np.int64), excluded, n, num_products, rng)
+    return [TrainingExample(positive.context_ids, int(j), -1) for j in draws[0]]

@@ -6,8 +6,8 @@ convolutional encoder (per-width filter banks, ReLU, max-over-time pooling,
 linear projection, ReLU). Both support one-hot or pretrained word inputs and
 have exact analytic backward passes.
 
-Batch entry points (`encode_batch` / `backward_batch`) operate on a list of
-token-id arrays at once; the single-sequence wrappers exist for direct use.
+The entry points (`encode_batch` / `backward_batch`) operate on a list of
+token-id arrays at once.
 Token index V (the UNK index, and right padding) maps to the zero vector.
 """
 
@@ -127,13 +127,6 @@ def init_cnn(input_dim: int, k: int, widths: tuple[int, ...], num_filters: int,
     pbound = 1.0 / np.sqrt(fan_in)
     proj = rng.uniform(-pbound, pbound, size=(fan_in, k)).astype(dtype)
     return CnnParams(tuple(widths), filters, biases, proj, np.zeros(k, dtype=dtype))
-
-
-@dataclass
-class EncoderOutput:
-    vector: np.ndarray
-    cache: object
-    degenerate: bool  # True when the token list was empty
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +318,3 @@ def backward_batch(params, cache, d_out: np.ndarray, *, want_input_grads: bool =
     if isinstance(params, MovParams):
         return _mov_backward(params, cache, d_out, want_input_grads)
     return _cnn_backward(params, cache, d_out, want_input_grads)
-
-
-def encode_mov(params: MovParams, table: WordInputTable, tokens: np.ndarray) -> EncoderOutput:
-    out, cache = _mov_forward(params, table, [np.asarray(tokens, dtype=np.int64)], 0.0, None)
-    return EncoderOutput(out[0], cache, len(tokens) == 0)
-
-
-def encode_cnn(params: CnnParams, table: WordInputTable, tokens: np.ndarray) -> EncoderOutput:
-    out, cache = _cnn_forward(params, table, [np.asarray(tokens, dtype=np.int64)], 0.0, None)
-    return EncoderOutput(out[0], cache, len(tokens) == 0)
-
-
-def encoder_backward(params, output: EncoderOutput, out_grad: np.ndarray):
-    return backward_batch(params, output.cache, np.asarray(out_grad)[None, :])

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import DatasetSplit
+from .corpus import DatasetSplit, basket_csr, leave_one_out
 
 
 class EvalError(RuntimeError):
@@ -51,16 +51,13 @@ class EvalReport:
 def form_test_cases(split: DatasetSplit) -> list[TestCase]:
     """One case per (basket, held-out product) pair; cold mode restricts the
     held-out product to the designated test products. Empty-context cases are dropped."""
-    cases: list[TestCase] = []
-    for b in split.test:
-        for k in range(len(b)):
-            held = int(b.product_ids[k])
-            if split.mode == "cold" and held not in split.test_product_ids:
-                continue
-            ctx = np.delete(b.product_ids, k)
-            if len(ctx) == 0:
-                continue
-            cases.append(TestCase(ctx, held, b.source_id))
+    indptr, indices = basket_csr(split.test)
+    keep = np.repeat(np.diff(indptr) > 1, np.diff(indptr))
+    if split.mode == "cold":
+        keep &= np.isin(indices, list(split.test_product_ids))
+    held, ctx_flat, ctx_lens, rows = leave_one_out(indptr, indices, np.flatnonzero(keep))
+    ctxs = np.split(ctx_flat, np.cumsum(ctx_lens)[:-1])
+    cases = [TestCase(c, int(h), split.test[r].source_id) for h, c, r in zip(held, ctxs, rows)]
     if not cases:
         raise EvalError("split yields zero test cases")
     return cases
@@ -136,6 +133,8 @@ def compute_ranks(scorer, test_cases: list[TestCase], pool: str = "all",
 def evaluate(scorer, test_cases: list[TestCase], ns=(10, 20), method: str = "model",
              mode: str = "warm", pool: str = "all", test_product_ids=None) -> EvalReport:
     """Rank every test case and aggregate Recall@N / MRR@N."""
+    if min(ns) < 1:
+        raise EvalError(f"every N must be >= 1, got {sorted(ns)}")
     ranks = compute_ranks(scorer, test_cases, pool, test_product_ids)
     metrics = {}
     for n in sorted(ns):
@@ -174,6 +173,8 @@ class ExternalScorer:
                 vals = np.array([float(b) for _, b in pairs])
             except ValueError as exc:
                 raise EvalError(f"{path}:{lineno}: malformed score line") from exc
+            if np.isnan(vals).any():
+                raise EvalError(f"{path}:{lineno}: NaN score")
             if ((ids < 0) | (ids >= num_products)).any():
                 raise EvalError(f"{path}:{lineno}: product id out of range")
             per_case[idx] = (ids, vals)

@@ -18,7 +18,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import expit
 
-from .corpus import Basket, Catalog, CorpusError, TrainingExample, Vocabulary, encode_catalog
+from .corpus import (Basket, Catalog, TrainingExample, Vocabulary, basket_csr, encode_catalog,
+                     leave_one_out)
 from .encoders import (CnnParams, MovParams, WordInputTable, backward_batch,
                        encode_batch, init_cnn, init_mov)
 from .evaluation import rank_in_pool
@@ -137,11 +138,6 @@ def basket_vector(context_ids: np.ndarray, context_matrix: np.ndarray) -> np.nda
     if context_ids.size == 0:
         raise ModelError("basket vector of an empty context")
     return context_matrix[context_ids].mean(axis=0)
-
-
-def score(candidate_id: int, context_ids: np.ndarray, vectors: ProductVectors) -> float:
-    """sigma(h_candidate . mean context vector), dropout off."""
-    return float(expit(vectors.embedding[candidate_id] @ basket_vector(context_ids, vectors.context)))
 
 
 class BastextScorer:
@@ -271,34 +267,31 @@ def materialize_product_vectors(state: ModelState, catalog: Catalog) -> ProductV
     return ProductVectors(np.ascontiguousarray(emb), np.ascontiguousarray(ctx), degenerate)
 
 
-def _sample_negative_matrix(basket_rows: np.ndarray, basket_members: list[np.ndarray],
+def _sample_negative_matrix(basket_rows: np.ndarray, member_keys: np.ndarray,
                             n: int, num_products: int, rng: np.random.Generator) -> np.ndarray:
-    """(b, n) uniform draws per positive, rejecting ids inside the positive's basket."""
-    ubaskets, row_of = np.unique(basket_rows, return_inverse=True)
-    bitmap = np.zeros((len(ubaskets), num_products), dtype=bool)
-    for r, b in enumerate(ubaskets):
-        bitmap[r, basket_members[b]] = True
+    """(b, n) uniform draws per positive, redrawing (in row-major order) ids inside the
+    positive's basket; `member_keys` are the sorted `basket * num_products + product` keys."""
     draws = rng.integers(0, num_products, size=(len(basket_rows), n))
-    bad = bitmap[row_of[:, None], draws]
-    while bad.any():
-        redraw = rng.integers(0, num_products, size=int(bad.sum()))
-        draws[bad] = redraw
-        bad = bitmap[row_of[:, None], draws]
-    return draws
+    flat = draws.reshape(-1)
+    base = np.repeat(basket_rows * num_products, n)
+    bad = np.arange(flat.size)
+    while True:
+        keys = base[bad] + flat[bad]
+        at = np.minimum(np.searchsorted(member_keys, keys), len(member_keys) - 1)
+        bad = bad[member_keys[at] == keys]
+        if not len(bad):
+            return draws
+        flat[bad] = rng.integers(0, num_products, size=len(bad))
 
 
 def _validation_cases(validation: list[Basket], sample: int, seed: int):
-    cases = []
-    for b in validation:
-        for k in range(len(b)):
-            cases.append((np.delete(b.product_ids, k), int(b.product_ids[k])))
-    if not cases:
-        return []
+    indptr, indices = basket_csr(validation)
+    pos = np.arange(len(indices))
     rng = np.random.default_rng(seed + 9173)
-    if len(cases) > sample:
-        idx = rng.choice(len(cases), size=sample, replace=False)
-        cases = [cases[i] for i in sorted(idx)]
-    return cases
+    if len(pos) > sample:
+        pos = np.sort(rng.choice(len(pos), size=sample, replace=False))
+    held, ctx_flat, ctx_lens, _ = leave_one_out(indptr, indices, pos)
+    return list(zip(np.split(ctx_flat, np.cumsum(ctx_lens)[:-1]), held))
 
 
 def _validation_recall(state: ModelState, catalog: Catalog, cases, n: int = 20) -> float:
@@ -339,14 +332,13 @@ def train(config: ModelConfig, train_baskets: list[Basket], validation_baskets: 
     token_ids = encode_catalog(catalog, vocab)
     num_products = len(catalog)
 
-    members = [b.product_ids for b in train_baskets]
-    if any(len(m) >= num_products for m in members):
+    indptr, indices = basket_csr(train_baskets)
+    if np.diff(indptr).max() >= num_products:
         raise ModelError("a training basket holds every catalog product; "
                          "no negative can be sampled for it")
-    pos_basket = np.concatenate(
-        [np.full(len(m), i, dtype=np.int64) for i, m in enumerate(members)])
-    pos_slot = np.concatenate([np.arange(len(m), dtype=np.int64) for m in members])
-    n_pos = len(pos_basket)
+    member_keys = np.sort(np.repeat(np.arange(len(train_baskets)), np.diff(indptr))
+                          * num_products + indices)
+    n_pos = len(indices)
 
     val_cases = _validation_cases(validation_baskets, config.validation_sample, config.seed)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
@@ -359,19 +351,14 @@ def train(config: ModelConfig, train_baskets: list[Basket], validation_baskets: 
         epoch_loss = 0.0
         n_batches = 0
         for start in range(0, n_pos, config.batch_size):
-            idx = order[start: start + config.batch_size]
-            b = len(idx)
-            bids = pos_basket[idx]
-            slots = pos_slot[idx]
-            cands = np.array([members[bids[i]][slots[i]] for i in range(b)], dtype=np.int64)
-            ctx_list = [np.delete(members[bids[i]], slots[i]) for i in range(b)]
-            ctx_lens = np.array([len(c) for c in ctx_list], dtype=np.int64)
-            ctx_flat = np.concatenate(ctx_list)
+            cands, ctx_flat, ctx_lens, bids = leave_one_out(
+                indptr, indices, order[start: start + config.batch_size])
+            b = len(cands)
             ctx_offsets = np.concatenate([[0], np.cumsum(ctx_lens)[:-1]])
 
             batch_rng = np.random.Generator(np.random.Philox(
                 np.random.SeedSequence([config.seed, 2, epoch, n_batches])))
-            negs = _sample_negative_matrix(bids, members, config.negatives,
+            negs = _sample_negative_matrix(bids, member_keys, config.negatives,
                                            num_products, batch_rng)
             cand_ids = np.concatenate([cands, negs.ravel()])
             ex_ctx = np.concatenate([np.arange(b),

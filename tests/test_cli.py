@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bastext
 from bastext import cli, corpus
 from bastext.synthetic import make_planted_corpus
 
@@ -186,3 +190,24 @@ def test_malformed_input_reports_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["split", "--cold", "--cold-fraction", "1.5"],
+    ["split", "--ratios", "0.8,x"],
+    ["evaluate", "--ns", "10,x"],
+    ["evaluate", "--method", "pop", "--ns", "10,0"],
+    ["similar", "p0", "--top-n", "-1"],
+], ids=["cold-fraction", "ratios", "ns", "ns-zero", "top-n"])
+def test_bad_flag_value_exits_1_without_traceback(tmp_path, raw_corpus, capsys, argv):
+    out = tmp_path / "run"
+    cat, bsk = raw_corpus
+    assert _run(["ingest", "--format", "canonical", cat, bsk, "--out", out]) == 0
+    assert _run(["split", "--out", out]) == 0
+    capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=str(Path(bastext.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "bastext.cli", *argv, "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

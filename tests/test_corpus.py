@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bastext.corpus import (Basket, Catalog, CorpusError, build_vocabulary,
-                            form_positive_examples, import_dataset,
+from bastext.corpus import (Basket, Catalog, CorpusError, basket_csr, build_vocabulary,
+                            form_positive_examples, import_dataset, leave_one_out,
                             load_split_manifest, sample_negatives,
                             save_split_manifest, split_cold, split_warm,
                             tokenize, write_canonical)
@@ -241,6 +241,35 @@ def test_form_positive_examples_size_two():
 def test_form_positive_examples_rejects_singleton():
     with pytest.raises(CorpusError):
         form_positive_examples(Basket(np.array([1]), "s"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 30), min_size=1, max_size=6, unique=True),
+                min_size=1, max_size=8),
+       st.data())
+def test_leave_one_out_matches_per_basket_delete(members, data):
+    baskets = [Basket(np.array(sorted(m), dtype=np.int64), f"s{i}")
+               for i, m in enumerate(members)]
+    indptr, indices = basket_csr(baskets)
+    slots = [(r, k) for r, b in enumerate(baskets) for k in range(len(b))]
+    pos = np.array(data.draw(st.lists(st.integers(0, len(slots) - 1), max_size=20)),
+                   dtype=np.int64)
+    held, ctx_flat, ctx_lens, rows = leave_one_out(indptr, indices, pos)
+    expected = [slots[p] for p in pos]
+    assert rows.tolist() == [r for r, _ in expected]
+    assert held.tolist() == [int(baskets[r].product_ids[k]) for r, k in expected]
+    contexts = [np.delete(baskets[r].product_ids, k) for r, k in expected]
+    assert ctx_lens.tolist() == [len(c) for c in contexts]
+    assert ctx_flat.tolist() == [int(x) for c in contexts for x in c]
+
+
+def test_split_bad_ratios_and_cold_fraction_fatal(tiny_baskets):
+    for ratios in ((0.5, 0.5), (1.2, -0.1, -0.1)):
+        with pytest.raises(CorpusError, match="ratios"):
+            split_warm(tiny_baskets, ratios=ratios)
+    for fraction in (0.0, 1.5):
+        with pytest.raises(CorpusError, match="fraction"):
+            split_cold(tiny_baskets, test_product_fraction=fraction)
 
 
 def test_sample_negatives_forced_candidate():

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from bastext.corpus import Catalog, build_vocabulary
 from bastext.encoders import (CnnParams, EncoderError, MovParams, WordInputTable,
-                              backward_batch, encode_batch, encode_cnn, encode_mov,
-                              encoder_backward, init_cnn, init_mov,
+                              backward_batch, encode_batch, init_cnn, init_mov,
                               load_pretrained_vectors)
 
 F64 = np.float64
@@ -14,6 +13,12 @@ F64 = np.float64
 
 def _rand_tokens(rng, n, v):
     return [rng.integers(0, v, size=rng.integers(1, 6)).astype(np.int64) for _ in range(n)]
+
+
+def _encode(params, table, toks):
+    """One token sequence through `encode_batch`: its (K,) output vector."""
+    out, _ = encode_batch(params, table, [np.asarray(toks, dtype=np.int64)])
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -24,15 +29,15 @@ def test_mov_identity_one_token():
     v = 4
     table = WordInputTable.one_hot(v)
     params = MovParams(np.eye(v, dtype=F64))
-    out = encode_mov(params, table, np.array([2]))
-    assert np.array_equal(out.vector, np.eye(v)[2])
+    out = _encode(params, table, np.array([2]))
+    assert np.array_equal(out, np.eye(v)[2])
 
 
 def test_mov_negative_weights_relu_zero():
     table = WordInputTable.one_hot(3)
     params = MovParams(-np.ones((3, 5), dtype=F64))
-    out = encode_mov(params, table, np.array([0, 1]))
-    assert np.array_equal(out.vector, np.zeros(5))
+    out = _encode(params, table, np.array([0, 1]))
+    assert np.array_equal(out, np.zeros(5))
 
 
 def test_mov_matches_dense_oracle():
@@ -40,9 +45,9 @@ def test_mov_matches_dense_oracle():
     w = rng.normal(size=(5, 4))
     table = WordInputTable.one_hot(5)
     toks = np.array([1, 3, 3])
-    out = encode_mov(MovParams(w), table, toks)
+    out = _encode(MovParams(w), table, toks)
     expected = np.maximum(w[toks].mean(axis=0), 0.0)
-    assert np.allclose(out.vector, expected, atol=1e-12)
+    assert np.allclose(out, expected, atol=1e-12)
 
 
 def test_mov_unk_counts_in_denominator():
@@ -50,25 +55,24 @@ def test_mov_unk_counts_in_denominator():
     rng = np.random.default_rng(1)
     w = np.abs(rng.normal(size=(3, 4)))
     table = WordInputTable.one_hot(3)
-    with_unk = encode_mov(MovParams(w), table, np.array([0, 3]))  # 3 == UNK for V=3
-    alone = encode_mov(MovParams(w), table, np.array([0]))
-    assert np.allclose(with_unk.vector, alone.vector / 2.0)
+    with_unk = _encode(MovParams(w), table, np.array([0, 3]))  # 3 == UNK for V=3
+    alone = _encode(MovParams(w), table, np.array([0]))
+    assert np.allclose(with_unk, alone / 2.0)
 
 
 def test_mov_empty_tokens_degenerate():
     table = WordInputTable.one_hot(3)
-    out = encode_mov(MovParams(np.ones((3, 2))), table, np.array([], dtype=np.int64))
-    assert out.degenerate
-    assert np.array_equal(out.vector, np.zeros(2))
+    out = _encode(MovParams(np.ones((3, 2))), table, np.array([], dtype=np.int64))
+    assert np.array_equal(out, np.zeros(2))
 
 
 def test_mov_order_invariance():
     rng = np.random.default_rng(2)
     params = MovParams(rng.normal(size=(6, 4)))
     table = WordInputTable.one_hot(6)
-    a = encode_mov(params, table, np.array([0, 2, 5]))
-    b = encode_mov(params, table, np.array([5, 0, 2]))
-    assert np.array_equal(a.vector, b.vector)
+    a = _encode(params, table, np.array([0, 2, 5]))
+    b = _encode(params, table, np.array([5, 0, 2]))
+    assert np.array_equal(a, b)
 
 
 def test_mov_preactivation_homogeneity():
@@ -78,14 +82,14 @@ def test_mov_preactivation_homogeneity():
     params = MovParams(rng.normal(size=(3, 4)))
     toks = np.array([0, 2])
     for c in (0.5, 2.0, 7.0):
-        a = encode_mov(params, WordInputTable.pretrained(vecs), toks)
-        b = encode_mov(params, WordInputTable.pretrained(c * vecs), toks)
+        a = _encode(params, WordInputTable.pretrained(vecs), toks)
+        b = _encode(params, WordInputTable.pretrained(c * vecs), toks)
         # compare through ReLU on a nonnegative reference point: use pre-activation caches
         pre_a = vecs[toks].mean(axis=0) @ params.W
         pre_b = (c * vecs)[toks].mean(axis=0) @ params.W
         assert np.allclose(pre_b, c * pre_a, atol=1e-12)
-        assert np.allclose(b.vector, np.maximum(c * pre_a, 0), atol=1e-12)
-        assert np.allclose(a.vector, np.maximum(pre_a, 0), atol=1e-12)
+        assert np.allclose(b, np.maximum(c * pre_a, 0), atol=1e-12)
+        assert np.allclose(a, np.maximum(pre_a, 0), atol=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -97,8 +101,8 @@ def test_encoder_outputs_nonnegative(seed):
     mov = init_mov(v, k, rng, F64)
     cnn = init_cnn(v, k, (2, 3), 3, rng, F64)
     toks = rng.integers(0, v + 1, size=rng.integers(1, 6)).astype(np.int64)
-    assert np.all(encode_mov(mov, table, toks).vector >= 0)
-    assert np.all(encode_cnn(cnn, table, toks).vector >= 0)
+    assert np.all(_encode(mov, table, toks) >= 0)
+    assert np.all(_encode(cnn, table, toks) >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -112,17 +116,17 @@ def test_cnn_zero_filters_gives_relu_proj_bias():
         params.filters[w][:] = 0.0
     params.proj_bias[:] = rng.normal(size=4)
     table = WordInputTable.one_hot(5)
-    out = encode_cnn(params, table, np.array([0, 1, 2]))
-    assert np.allclose(out.vector, np.maximum(params.proj_bias, 0), atol=1e-12)
+    out = _encode(params, table, np.array([0, 1, 2]))
+    assert np.allclose(out, np.maximum(params.proj_bias, 0), atol=1e-12)
 
 
 def test_cnn_short_title_equals_explicit_padding():
     rng = np.random.default_rng(5)
     params = init_cnn(5, 4, (2, 3), 3, rng, F64)
     table = WordInputTable.one_hot(5)
-    short = encode_cnn(params, table, np.array([1]))
-    padded = encode_cnn(params, table, np.array([1, 5, 5]))  # 5 == UNK/pad id for V=5
-    assert np.allclose(short.vector, padded.vector, atol=1e-12)
+    short = _encode(params, table, np.array([1]))
+    padded = _encode(params, table, np.array([1, 5, 5]))  # 5 == UNK/pad id for V=5
+    assert np.allclose(short, padded, atol=1e-12)
 
 
 def test_cnn_hand_computed_single_filter():
@@ -134,27 +138,26 @@ def test_cnn_hand_computed_single_filter():
     filt[0, 1, 2] = 2.0  # plus 2 when token 2 follows
     proj = np.array([[1.0, -1.0]])
     params = CnnParams((2,), {2: filt}, {2: np.zeros(1)}, proj, np.zeros(k))
-    out = encode_cnn(params, table, np.array([0, 2, 1]))
+    out = _encode(params, table, np.array([0, 2, 1]))
     # windows: (0,2) -> 1+2 = 3; (2,1) -> 0; max-pool = 3; proj -> (3, -3); ReLU -> (3, 0)
-    assert np.allclose(out.vector, [3.0, 0.0], atol=1e-12)
+    assert np.allclose(out, [3.0, 0.0], atol=1e-12)
 
 
 def test_cnn_order_sensitivity():
     rng = np.random.default_rng(6)
     params = init_cnn(6, 4, (2,), 4, rng, F64)
     table = WordInputTable.one_hot(6)
-    a = encode_cnn(params, table, np.array([0, 1, 2]))
-    b = encode_cnn(params, table, np.array([2, 1, 0]))
-    assert not np.allclose(a.vector, b.vector)
+    a = _encode(params, table, np.array([0, 1, 2]))
+    b = _encode(params, table, np.array([2, 1, 0]))
+    assert not np.allclose(a, b)
 
 
 def test_cnn_empty_tokens_degenerate():
     rng = np.random.default_rng(7)
     params = init_cnn(4, 3, (2, 3), 2, rng, F64)
     table = WordInputTable.one_hot(4)
-    out = encode_cnn(params, table, np.array([], dtype=np.int64))
-    assert out.degenerate
-    assert np.array_equal(out.vector, np.zeros(3))
+    out = _encode(params, table, np.array([], dtype=np.int64))
+    assert np.array_equal(out, np.zeros(3))
 
 
 def test_cnn_onehot_equals_pretrained_identity():
@@ -162,9 +165,9 @@ def test_cnn_onehot_equals_pretrained_identity():
     v = 5
     params = init_cnn(v, 4, (2, 3), 3, rng, F64)
     toks = np.array([0, 3, 2, 4])
-    a = encode_cnn(params, WordInputTable.one_hot(v), toks)
-    b = encode_cnn(params, WordInputTable.pretrained(np.eye(v)), toks)
-    assert np.allclose(a.vector, b.vector, atol=1e-12)
+    a = _encode(params, WordInputTable.one_hot(v), toks)
+    b = _encode(params, WordInputTable.pretrained(np.eye(v)), toks)
+    assert np.allclose(a, b, atol=1e-12)
 
 
 def test_init_cnn_rejects_bad_widths():
@@ -180,19 +183,18 @@ def test_init_cnn_rejects_bad_widths():
 def _fd_check(params, table, toks, rng, eps=1e-6, tol=1e-7):
     """Compare analytic encoder gradients against central differences on a
     random scalar projection of the output."""
-    kind = encode_mov if isinstance(params, MovParams) else encode_cnn
-    out = kind(params, table, toks)
-    probe = rng.normal(size=out.vector.shape)
-    grads = encoder_backward(params, out, probe)
+    out, cache = encode_batch(params, table, [toks])
+    probe = rng.normal(size=out.shape[1])
+    grads = backward_batch(params, cache, probe[None, :])
     for name, tensor in params.as_dict().items():
         g = grads[name]
         flat = tensor.ravel()
         for idx in rng.choice(flat.size, size=min(10, flat.size), replace=False):
             orig = flat[idx]
             flat[idx] = orig + eps
-            fp = float(kind(params, table, toks).vector @ probe)
+            fp = float(_encode(params, table, toks) @ probe)
             flat[idx] = orig - eps
-            fm = float(kind(params, table, toks).vector @ probe)
+            fm = float(_encode(params, table, toks) @ probe)
             flat[idx] = orig
             num = (fp - fm) / (2 * eps)
             ana = g.ravel()[idx]
@@ -240,9 +242,8 @@ def test_zero_output_gradient_gives_zero_param_gradients():
     rng = np.random.default_rng(13)
     table = WordInputTable.one_hot(6)
     for params in (init_mov(6, 4, rng, F64), init_cnn(6, 4, (2,), 2, rng, F64)):
-        kind = encode_mov if isinstance(params, MovParams) else encode_cnn
-        out = kind(params, table, np.array([1, 2]))
-        grads = encoder_backward(params, out, np.zeros(4))
+        _, cache = encode_batch(params, table, [np.array([1, 2])])
+        grads = backward_batch(params, cache, np.zeros((1, 4)))
         for g in grads.values():
             if isinstance(g, np.ndarray):
                 assert not np.any(g)
@@ -253,9 +254,9 @@ def test_mov_backward_single_token_row():
     v, k = 5, 3
     params = MovParams(rng.normal(size=(v, k)))
     table = WordInputTable.one_hot(v)
-    out = encode_mov(params, table, np.array([2]))
+    _, cache = encode_batch(params, table, [np.array([2])])
     probe = rng.normal(size=k)
-    grads = encoder_backward(params, out, probe)
+    grads = backward_batch(params, cache, probe[None, :])
     relu_mask = (params.W[2] > 0).astype(float)
     expected = probe * relu_mask  # |s| = 1
     assert np.allclose(grads["W"][2], expected, atol=1e-12)
@@ -273,10 +274,9 @@ def test_encode_batch_matches_single_calls():
     table = WordInputTable.one_hot(v)
     toks = _rand_tokens(rng, 12, v)
     for params in (init_mov(v, k, rng, F64), init_cnn(v, k, (2, 3), 3, rng, F64)):
-        kind = encode_mov if isinstance(params, MovParams) else encode_cnn
         vecs, _ = encode_batch(params, table, toks)
         for i, t in enumerate(toks):
-            assert np.allclose(vecs[i], kind(params, table, t).vector, atol=1e-12)
+            assert np.allclose(vecs[i], _encode(params, table, t), atol=1e-12)
 
 
 def test_dropout_inverted_scaling():

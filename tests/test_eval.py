@@ -232,6 +232,14 @@ def test_external_scorer_malformed_fatal(tmp_path):
         ExternalScorer.load(f, 4)
 
 
+def test_external_scorer_nan_score_fatal(tmp_path):
+    """A NaN score compares false with everything, so it would rank first."""
+    f = tmp_path / "scores.tsv"
+    f.write_text("0\t1:nan,2:0.9\n")
+    with pytest.raises(EvalError, match=r"scores.tsv:1: NaN score"):
+        ExternalScorer.load(f, 4)
+
+
 @pytest.mark.parametrize("bad_id", ["-1", "4"])
 def test_external_scorer_out_of_range_id_fatal(tmp_path, bad_id):
     f = tmp_path / "scores.tsv"

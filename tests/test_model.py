@@ -3,12 +3,11 @@ import pytest
 from scipy.special import expit
 
 import bastext.model as M
-from bastext.corpus import (Basket, TrainingExample, build_vocabulary, encode_catalog,
+from bastext.corpus import (Basket, TrainingExample, basket_csr, build_vocabulary, encode_catalog,
                             form_positive_examples, sample_negatives, split_warm)
 from bastext.model import (BastextScorer, ModelConfig, ModelError, adam_step,
                            basket_vector, batch_loss, check_catalog_hash, init_model,
-                           load_model, materialize_product_vectors, save_model, score,
-                           train)
+                           load_model, materialize_product_vectors, save_model, train)
 from bastext.synthetic import make_planted_corpus, make_random_corpus
 
 
@@ -59,13 +58,13 @@ def test_basket_vector_singleton_and_mean():
 
 def test_score_zero_embedding_is_half():
     vecs = M.ProductVectors(np.zeros((3, 4)), np.ones((3, 4)), np.zeros(3, bool))
-    assert score(0, np.array([1, 2]), vecs) == 0.5
+    assert BastextScorer(vecs).score_all(np.array([1, 2]))[0] == 0.5
 
 
 def test_score_saturation():
     k = 64
     vecs = M.ProductVectors(np.ones((2, k)), np.ones((2, k)), np.zeros(2, bool))
-    assert score(0, np.array([1]), vecs) == pytest.approx(1.0, abs=1e-12)
+    assert BastextScorer(vecs).score_all(np.array([1]))[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_score_matches_scalar_oracle():
@@ -74,7 +73,7 @@ def test_score_matches_scalar_oracle():
     vecs = M.ProductVectors(emb, ctx, np.zeros(6, bool))
     ids = np.array([2, 4, 5])
     expected = expit(float(np.dot(emb[1], ctx[ids].mean(axis=0))))
-    assert score(1, ids, vecs) == pytest.approx(expected, abs=1e-12)
+    assert BastextScorer(vecs).score_all(ids)[1] == pytest.approx(expected, abs=1e-12)
 
 
 def test_score_all_ranking_equals_dot_ranking():
@@ -244,6 +243,49 @@ def test_train_empty_fatal(tiny_catalog, tiny_vocab):
         train(cfg, [], [], tiny_catalog, tiny_vocab)
 
 
+def _csr_keys(baskets, m):
+    indptr, indices = basket_csr(baskets)
+    return np.sort(np.repeat(np.arange(len(baskets)), np.diff(indptr)) * m + indices)
+
+
+def test_sample_negative_matrix_excludes_own_basket_only():
+    m = 6
+    # basket 0 holds product M-1; basket 1 holds every product but M-1, so its
+    # one legal draw has a key past the last member key
+    baskets = [Basket(np.array([1, 5]), "a"), Basket(np.arange(5), "b")]
+    rows = np.array([0, 1, 0, 1])
+    draws = M._sample_negative_matrix(rows, _csr_keys(baskets, m), 50, m,
+                                      np.random.default_rng(0))
+    assert draws.shape == (4, 50)
+    assert np.all(draws[rows == 1] == 5)
+    assert set(draws[rows == 0].ravel().tolist()) == {0, 2, 3, 4}
+
+
+def test_sample_negative_matrix_matches_bitmap_reference():
+    """Same draws, consumed from the RNG in the same order, as a dense-bitmap sampler."""
+    def bitmap_sampler(rows, members, n, m, rng):
+        bitmap = np.zeros((len(members), m), dtype=bool)
+        for r, ids in enumerate(members):
+            bitmap[r, ids] = True
+        draws = rng.integers(0, m, size=(len(rows), n))
+        bad = bitmap[rows[:, None], draws]
+        while bad.any():
+            draws[bad] = rng.integers(0, m, size=int(bad.sum()))
+            bad = bitmap[rows[:, None], draws]
+        return draws
+
+    rng = np.random.default_rng(5)
+    for m in (3, 7, 40):
+        baskets = [Basket(np.sort(rng.choice(m, size=rng.integers(1, m), replace=False)), "s")
+                   for _ in range(6)]
+        rows = rng.integers(0, len(baskets), size=30)
+        members = [b.product_ids for b in baskets]
+        got = M._sample_negative_matrix(rows, _csr_keys(baskets, m), 4, m,
+                                        np.random.default_rng(m))
+        want = bitmap_sampler(rows, members, 4, m, np.random.default_rng(m))
+        assert np.array_equal(got, want)
+
+
 def test_train_basket_covering_catalog_fatal(tiny_catalog, tiny_vocab):
     """No negative exists for a basket holding every product: fail fast, never hang."""
     import signal
@@ -318,15 +360,15 @@ def test_train_batch_consumes_expected_examples(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_materialize_matches_per_product_calls(tiny_catalog, tiny_vocab, tiny_tokens):
-    from bastext.encoders import encode_mov
+    from bastext.encoders import encode_batch
     _, state = _small_state(tiny_vocab)
     vecs = materialize_product_vectors(state, tiny_catalog)
     for i, toks in enumerate(tiny_tokens):
         assert np.allclose(vecs.embedding[i],
-                           encode_mov(state.params_e, state.table, toks).vector,
+                           encode_batch(state.params_e, state.table, [toks])[0][0],
                            atol=1e-12)
         assert np.allclose(vecs.context[i],
-                           encode_mov(state.params_c, state.table, toks).vector,
+                           encode_batch(state.params_c, state.table, [toks])[0][0],
                            atol=1e-12)
 
 
@@ -360,7 +402,8 @@ def test_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     for _ in range(100):
         ids = np.sort(rng.choice(len(cat), size=3, replace=False))
-        assert score(int(ids[0]), ids[1:], va) == score(int(ids[0]), ids[1:], vb)
+        assert (BastextScorer(va).score_all(ids[1:])[ids[0]]
+                == BastextScorer(vb).score_all(ids[1:])[ids[0]])
 
 
 def test_save_is_byte_stable(tmp_path):
