@@ -13,6 +13,7 @@ from scipy import sparse
 
 from .corpus import Basket
 from .evaluation import order_pool
+from .kernels import scatter_rows
 
 
 class PopModel:
@@ -95,7 +96,7 @@ def sgns_pair_loss(in_vecs: np.ndarray, out_vecs: np.ndarray, center: int,
     grad_out = np.zeros_like(out_vecs)
     grad_in[center] = gp * out_vecs[positive] + gn @ out_vecs[negatives]
     grad_out[positive] = gp * v
-    np.add.at(grad_out, negatives, gn[:, None] * v[None, :])
+    grad_out += scatter_rows(negatives, gn[:, None] * v[None, :], len(out_vecs))
     return loss, grad_in, grad_out
 
 
@@ -178,7 +179,8 @@ def _sgns_batch_update(in_vecs, out_vecs, centers, contexts, n_neg, alpha, rng):
     gp = expit(np.einsum("bk,bk->b", v, op)) - 1.0
     gn = expit(np.einsum("bk,bnk->bn", v, on))
     d_v = gp[:, None] * op + np.einsum("bn,bnk->bk", gn, on)
-    np.add.at(in_vecs, centers, -alpha * d_v)
-    np.add.at(out_vecs, contexts, -alpha * gp[:, None] * v)
-    np.add.at(out_vecs, negs.ravel(),
-              -alpha * (gn[:, :, None] * v[:, None, :]).reshape(b * n_neg, -1))
+    d_out = np.concatenate([gp[:, None] * v,
+                            (gn[:, :, None] * v[:, None, :]).reshape(b * n_neg, -1)])
+    in_vecs -= scatter_rows(centers, alpha * d_v, len(in_vecs))
+    out_vecs -= scatter_rows(np.concatenate([contexts, negs.ravel()]), alpha * d_out,
+                             len(out_vecs))

@@ -118,7 +118,6 @@ class DatasetSplit:
     mode: str  # "warm" or "cold"
     seed: int
     test_product_ids: set[int] = field(default_factory=set)  # cold mode only
-    stats: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -365,18 +364,15 @@ def _product_set(baskets: list[Basket]) -> set[int]:
     return out
 
 
-def _filter_to(baskets: list[Basket], allowed: set[int]) -> tuple[list[Basket], int, int]:
+def _filter_to(baskets: list[Basket], allowed: set[int]) -> list[Basket]:
     """Remove products outside `allowed`; drop baskets reduced below size 2."""
-    kept, removed, dropped = [], 0, 0
+    kept = []
     for b in baskets:
         mask = np.array([i in allowed for i in b.product_ids], dtype=bool)
         ids = b.product_ids[mask]
-        removed += len(b.product_ids) - len(ids)
         if len(ids) >= 2:
             kept.append(Basket(ids, b.source_id))
-        else:
-            dropped += 1
-    return kept, removed, dropped
+    return kept
 
 
 def split_warm(baskets: list[Basket], ratios=(0.85, 0.05, 0.10), seed: int = 0) -> DatasetSplit:
@@ -385,11 +381,9 @@ def split_warm(baskets: list[Basket], ratios=(0.85, 0.05, 0.10), seed: int = 0) 
     if not tr or not te:
         raise CorpusError("warm split produced an empty train or test set")
     train_products = _product_set(tr)
-    va, removed_v, dropped_v = _filter_to(va, train_products)
-    te, removed_t, dropped_t = _filter_to(te, train_products)
-    stats = {"removed_products_validation": removed_v, "removed_products_test": removed_t,
-             "dropped_baskets_validation": dropped_v, "dropped_baskets_test": dropped_t}
-    return DatasetSplit(tr, va, te, "warm", seed, stats=stats)
+    va = _filter_to(va, train_products)
+    te = _filter_to(te, train_products)
+    return DatasetSplit(tr, va, te, "warm", seed)
 
 
 def split_cold(baskets: list[Basket], ratios=(0.85, 0.05, 0.10),
@@ -415,12 +409,9 @@ def split_cold(baskets: list[Basket], ratios=(0.85, 0.05, 0.10),
     cold = set(rng.choice(np.array(test_products, dtype=np.int64), size=n_cold,
                           replace=False).tolist())
     warm_allowed = _product_set(baskets) - cold
-    tr, removed_tr, dropped_tr = _filter_to(tr, warm_allowed)
-    train_products = _product_set(tr)
-    va, removed_v, dropped_v = _filter_to(va, train_products)
-    stats = {"removed_products_train": removed_tr, "dropped_baskets_train": dropped_tr,
-             "removed_products_validation": removed_v, "dropped_baskets_validation": dropped_v}
-    return DatasetSplit(tr, va, te, "cold", seed, test_product_ids=cold, stats=stats)
+    tr = _filter_to(tr, warm_allowed)
+    va = _filter_to(va, _product_set(tr))
+    return DatasetSplit(tr, va, te, "cold", seed, test_product_ids=cold)
 
 
 def save_split_manifest(split: DatasetSplit, catalog: Catalog, path) -> None:
@@ -463,12 +454,12 @@ def load_split_manifest(path, catalog: Catalog, baskets: list[Basket]) -> Datase
     tr, va, te = parts["train"], parts["validation"], parts["test"]
     if mode == "warm":
         train_products = _product_set(tr)
-        va, _, _ = _filter_to(va, train_products)
-        te, _, _ = _filter_to(te, train_products)
+        va = _filter_to(va, train_products)
+        te = _filter_to(te, train_products)
         return DatasetSplit(tr, va, te, "warm", seed)
     warm_allowed = _product_set(baskets) - cold
-    tr, _, _ = _filter_to(tr, warm_allowed)
-    va, _, _ = _filter_to(va, _product_set(tr))
+    tr = _filter_to(tr, warm_allowed)
+    va = _filter_to(va, _product_set(tr))
     return DatasetSplit(tr, va, te, "cold", seed, test_product_ids=cold)
 
 

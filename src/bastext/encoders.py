@@ -20,6 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from .corpus import Vocabulary
+from .kernels import scatter_rows
 
 
 class EncoderError(RuntimeError):
@@ -54,23 +55,28 @@ def load_pretrained_vectors(path, vocab: Vocabulary) -> tuple[WordInputTable, fl
     dim = None
     vectors = None
     matched = 0
-    for lineno, line in enumerate(Path(path).open(encoding="utf-8", errors="replace"), 1):
-        parts = line.rstrip("\n").split()
-        if not parts:
-            continue
-        word, vals = parts[0], parts[1:]
-        if dim is None:
-            dim = len(vals)
-            if dim == 0:
-                raise EncoderError(f"{path}:{lineno}: no vector components")
-            vectors = np.zeros((vocab.size, dim), dtype=np.float32)
-        elif len(vals) != dim:
-            raise EncoderError(
-                f"{path}:{lineno}: dimensionality {len(vals)} != {dim} of earlier lines")
-        idx = vocab.word_to_index.get(word)
-        if idx is not None:
-            vectors[idx] = np.array(vals, dtype=np.float32)
-            matched += 1
+    try:
+        fh = Path(path).open(encoding="utf-8", errors="replace")
+    except OSError as exc:
+        raise EncoderError(f"{path}: cannot read pretrained vectors: {exc.strerror}") from exc
+    with fh:
+        for lineno, line in enumerate(fh, 1):
+            parts = line.rstrip("\n").split()
+            if not parts:
+                continue
+            word, vals = parts[0], parts[1:]
+            if dim is None:
+                dim = len(vals)
+                if dim == 0:
+                    raise EncoderError(f"{path}:{lineno}: no vector components")
+                vectors = np.zeros((vocab.size, dim), dtype=np.float32)
+            elif len(vals) != dim:
+                raise EncoderError(
+                    f"{path}:{lineno}: dimensionality {len(vals)} != {dim} of earlier lines")
+            idx = vocab.word_to_index.get(word)
+            if idx is not None:
+                vectors[idx] = np.array(vals, dtype=np.float32)
+                matched += 1
     if dim is None or matched == 0:
         raise EncoderError(f"no vocabulary words matched in {path}")
     return WordInputTable.pretrained(vectors), matched / vocab.size
@@ -139,22 +145,12 @@ def _mean_matrix(token_ids: list[np.ndarray], vocab_size: int, dtype) -> sparse.
     The denominator is the full token count |s| (UNK tokens contribute a zero
     vector but still count), matching the mean over all words of the title.
     """
-    rows, cols, vals = [], [], []
-    for p, toks in enumerate(token_ids):
-        if len(toks) == 0:
-            continue
-        inv = 1.0 / len(toks)
-        valid = toks[toks < vocab_size]
-        rows.append(np.full(len(valid), p, dtype=np.int64))
-        cols.append(valid)
-        vals.append(np.full(len(valid), inv, dtype=dtype))
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-    else:
-        rows = cols = np.zeros(0, dtype=np.int64)
-        vals = np.zeros(0, dtype=dtype)
+    lens = np.fromiter(map(len, token_ids), dtype=np.int64, count=len(token_ids))
+    toks = np.concatenate(token_ids) if token_ids else np.zeros(0, dtype=np.int64)
+    rows = np.repeat(np.arange(len(token_ids)), lens)
+    vals = np.repeat((1.0 / np.maximum(lens, 1)).astype(dtype), lens)
+    valid = toks < vocab_size
+    rows, cols, vals = rows[valid], toks[valid], vals[valid]
     m = sparse.coo_matrix((vals, (rows, cols)), shape=(len(token_ids), vocab_size)).tocsr()
     m.sum_duplicates()
     return m
@@ -282,8 +278,10 @@ def _cnn_backward(params: CnnParams, cache, d_out, want_input_grads):
         for o in range(w):
             tok = T[p_idx, tstar + o]  # (n, F)
             if cache["X"] is None:
-                d_fe = np.zeros((nf, fw.shape[2] + 1), dtype=dtype)
-                np.add.at(d_fe, (f_idx, tok), val)
+                # one-hot: filter f's weight for token t sits at flat key f * (V + 1) + t
+                width = fw.shape[2] + 1
+                d_fe = scatter_rows((f_idx * width + tok).ravel(), val.ravel(),
+                                    nf * width).reshape(nf, width)
                 d_fw[:, o, :] += d_fe[:, :-1]
             else:
                 xg = cache["X"][p_idx, tstar + o, :]  # (n, F, d)
@@ -291,7 +289,8 @@ def _cnn_backward(params: CnnParams, cache, d_out, want_input_grads):
                 if want_input_grads:
                     keep = tok < cache["table"].vocab_size
                     contrib = val[:, :, None] * fw[None, :, o, :]
-                    np.add.at(grads["input"], tok[keep], contrib[keep])
+                    grads["input"] += scatter_rows(tok[keep], contrib[keep],
+                                                   cache["table"].vocab_size)
         grads[f"conv{w}"] = d_fw
     return grads
 

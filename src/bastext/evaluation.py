@@ -161,8 +161,12 @@ class ExternalScorer:
 
     @classmethod
     def load(cls, path, num_products: int) -> "ExternalScorer":
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise EvalError(f"{path}: cannot read score file: {exc.strerror}") from exc
         per_case = {}
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
             idx_s, _, rest = line.partition("\t")

@@ -1,0 +1,32 @@
+"""Numeric kernels shared by the trainers.
+
+`scatter_rows` is the one scatter-add in the package: the model's loss, the
+CNN backward pass and the SGNS baseline all sum gradient rows into parameter
+rows through it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy import sparse
+
+
+def scatter_rows(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """`out[i]` = the sum of `values[j]` over every j with `index[j] == i`; shape (n, ...).
+
+    `index` is 1-D with entries in [0, n), and `values` has one leading row per
+    entry. The result equals an unbuffered `np.add` scatter into zeros: it is
+    one product of the (n x len(index)) CSC indicator matrix with `values`,
+    whose column j adds row j of `values` into output row `index[j]`, in
+    index order. The output has `values`' dtype.
+    """
+    index = np.asarray(index, dtype=np.int64)
+    values = np.asarray(values)
+    # the sparse kernel writes to out[index[j]] unchecked
+    if len(index) and (index.min() < 0 or index.max() >= n):
+        raise ValueError(f"scatter index outside [0, {n})")
+    indicator = sparse.csc_matrix(
+        (np.ones(len(index), dtype=values.dtype), index, np.arange(len(index) + 1)),
+        shape=(n, len(index)))
+    out = indicator @ values.reshape(len(index), int(np.prod(values.shape[1:])))
+    return out.reshape((n,) + values.shape[1:])

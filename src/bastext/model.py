@@ -23,6 +23,7 @@ from .corpus import (Basket, Catalog, TrainingExample, Vocabulary, basket_csr, e
 from .encoders import (CnnParams, MovParams, WordInputTable, backward_batch,
                        encode_batch, init_cnn, init_mov)
 from .evaluation import rank_in_pool
+from .kernels import scatter_rows
 
 MODEL_MAGIC = b"BSTX"
 MODEL_VERSION = 1
@@ -183,7 +184,8 @@ def _loss_arrays(state: ModelState, token_ids: list[np.ndarray],
 
     ctx_rows = hc[ctx_inv]  # (total ctx tokens, K)
     sums = np.add.reduceat(ctx_rows, ctx_offsets, axis=0)
-    hbar = sums / ctx_lens[:, None]
+    lens = ctx_lens.astype(dtype)[:, None]  # an int64 divisor would promote to float64
+    hbar = sums / lens
 
     h_cand = he[cand_inv]
     z = np.einsum("ek,ek->e", h_cand, hbar[ex_ctx])
@@ -194,15 +196,11 @@ def _loss_arrays(state: ModelState, token_ids: list[np.ndarray],
     if not np.isfinite(loss):
         raise ModelError("non-finite training loss; lower the learning rate or check init")
 
-    g = ((expit(z) - y) / len(z)).astype(dtype)
-    d_he = np.zeros_like(he)
-    np.add.at(d_he, cand_inv, g[:, None] * hbar[ex_ctx])
-    d_hbar = np.zeros_like(hbar)
-    np.add.at(d_hbar, ex_ctx, g[:, None] * h_cand)
+    g = (expit(z) - y) / len(z)
+    d_he = scatter_rows(cand_inv, g[:, None] * hbar[ex_ctx], len(he))
+    d_hbar = scatter_rows(ex_ctx, g[:, None] * h_cand, len(hbar))
     ctx_of_row = np.repeat(np.arange(len(ctx_lens)), ctx_lens)
-    d_rows = d_hbar[ctx_of_row] / ctx_lens[ctx_of_row][:, None]
-    d_hc = np.zeros_like(hc)
-    np.add.at(d_hc, ctx_inv, d_rows)
+    d_hc = scatter_rows(ctx_inv, (d_hbar / lens)[ctx_of_row], len(hc))
 
     ge = backward_batch(state.params_e, cache_e, d_he, want_input_grads=want_input)
     gc = backward_batch(state.params_c, cache_c, d_hc, want_input_grads=want_input)
@@ -423,8 +421,11 @@ def save_model(state: ModelState, path) -> None:
 
 
 def load_model(path) -> ModelState:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ModelError(f"{path}: cannot read model file: {exc.strerror}") from exc
     if len(data) < 16 or data[:4] != MODEL_MAGIC:
         raise ModelError(f"{path}: not a model file (bad magic)")
     (version,) = struct.unpack_from("<I", data, 4)

@@ -200,6 +200,21 @@ def test_malformed_input_reports_error(tmp_path, capsys):
     ["similar", "p0", "--top-n", "-1"],
 ], ids=["cold-fraction", "ratios", "ns", "ns-zero", "top-n"])
 def test_bad_flag_value_exits_1_without_traceback(tmp_path, raw_corpus, capsys, argv):
+    _assert_cli_error_exit(tmp_path, raw_corpus, capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--method", "bastext"],
+    ["similar", "p0"],
+    ["evaluate", "--method", "external", "--scores", "no-such-scores.tsv"],
+    ["train", "--epochs", "1", "--pretrained", "no-such-vectors.txt"],
+], ids=["evaluate-no-model", "similar-no-model", "missing-scores", "missing-pretrained"])
+def test_missing_file_exits_1_without_traceback(tmp_path, raw_corpus, capsys, argv):
+    _assert_cli_error_exit(tmp_path, raw_corpus, capsys, argv)
+
+
+def _assert_cli_error_exit(tmp_path, raw_corpus, capsys, argv):
+    """On an ingested and split corpus with no model, `argv` exits 1 with a one-line error."""
     out = tmp_path / "run"
     cat, bsk = raw_corpus
     assert _run(["ingest", "--format", "canonical", cat, bsk, "--out", out]) == 0
@@ -207,7 +222,7 @@ def test_bad_flag_value_exits_1_without_traceback(tmp_path, raw_corpus, capsys, 
     capsys.readouterr()
     env = dict(os.environ, PYTHONPATH=str(Path(bastext.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "bastext.cli", *argv, "--out", str(out)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=120, cwd=tmp_path)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from bastext.corpus import Catalog, build_vocabulary
 from bastext.encoders import (CnnParams, EncoderError, MovParams, WordInputTable,
-                              backward_batch, encode_batch, init_cnn, init_mov,
+                              _mean_matrix, backward_batch, encode_batch, init_cnn, init_mov,
                               load_pretrained_vectors)
 
 F64 = np.float64
@@ -90,6 +91,42 @@ def test_mov_preactivation_homogeneity():
         assert np.allclose(pre_b, c * pre_a, atol=1e-12)
         assert np.allclose(b, np.maximum(c * pre_a, 0), atol=1e-12)
         assert np.allclose(a, np.maximum(pre_a, 0), atol=1e-12)
+
+
+def _mean_matrix_per_row(token_ids, vocab_size, dtype):
+    """Reference: row p holds 1/|s_p| at each in-vocabulary token of title p."""
+    rows, cols, vals = [], [], []
+    for p, toks in enumerate(token_ids):
+        if len(toks) == 0:
+            continue
+        inv = 1.0 / len(toks)
+        valid = toks[toks < vocab_size]
+        rows.append(np.full(len(valid), p, dtype=np.int64))
+        cols.append(valid)
+        vals.append(np.full(len(valid), inv, dtype=dtype))
+    if rows:
+        rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    else:
+        rows = cols = np.zeros(0, dtype=np.int64)
+        vals = np.zeros(0, dtype=dtype)
+    m = sparse.coo_matrix((vals, (rows, cols)), shape=(len(token_ids), vocab_size)).tocsr()
+    m.sum_duplicates()
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(v=st.integers(1, 6), dtype=st.sampled_from([np.float32, np.float64]), data=st.data())
+def test_mean_matrix_matches_per_row_definition(v, dtype, data):
+    """Empty titles, all-UNK titles (token V) and repeated tokens, compared exactly."""
+    titles = data.draw(st.lists(st.lists(st.integers(0, v), max_size=6), max_size=8))
+    token_ids = [np.array(t, dtype=np.int64) for t in titles]
+    got = _mean_matrix(token_ids, v, dtype)
+    want = _mean_matrix_per_row(token_ids, v, dtype)
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype == dtype
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 @settings(max_examples=50, deadline=None)

@@ -355,6 +355,37 @@ def test_train_batch_consumes_expected_examples(monkeypatch):
     assert seen == expected
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("encoder", ["mov", "cnn"])
+def test_training_step_keeps_parameter_dtype(tiny_catalog, tiny_vocab, tiny_tokens, monkeypatch,
+                                             encoder, dtype):
+    """Every scatter source, gradient, Adam moment and product vector is in the params' dtype."""
+    import bastext.encoders as E
+    from bastext.kernels import scatter_rows
+    sources = []
+
+    def recording(index, values, n):
+        sources.append(values.dtype)
+        return scatter_rows(index, values, n)
+
+    monkeypatch.setattr(M, "scatter_rows", recording)
+    monkeypatch.setattr(E, "scatter_rows", recording)
+    cfg = ModelConfig(k=6, negatives=2, encoder=encoder, dropout=0.2, cnn_filters=3,
+                      use_bias=True)
+    state = init_model(cfg, tiny_vocab, dtype=dtype)
+    batch = _random_batch(np.random.default_rng(0))
+    _, grads = batch_loss(batch, state, tiny_tokens, training=True,
+                          rng=np.random.default_rng(1))
+    want = np.dtype(dtype)
+    assert len(sources) >= 3 and set(sources) == {want}
+    assert {name: g.dtype for name, g in grads.items()} == dict.fromkeys(grads, want)
+    adam_step(state, grads)
+    for name, p in state.named_params().items():
+        assert (p.dtype, state.adam_m[name].dtype, state.adam_v[name].dtype) == (want,) * 3, name
+    vecs = materialize_product_vectors(state, tiny_catalog)
+    assert vecs.embedding.dtype == vecs.context.dtype == want
+
+
 # ---------------------------------------------------------------------------
 # Materialization and serialization
 # ---------------------------------------------------------------------------
