@@ -6,6 +6,8 @@ Artifacts live under a single output directory:
     <out>/models/model.bin, train_log.txt
     <out>/reports/<method>.json, <method>.txt
 Each command echoes its fully resolved configuration next to its artifact.
+The query commands (similar, alsobuy, search, next) read only
+<out>/corpus/catalog.tsv and the model file; they need no baskets.txt.
 """
 
 from __future__ import annotations
@@ -27,12 +29,16 @@ def _echo_config(args: argparse.Namespace, path: Path) -> None:
     path.write_text(json.dumps(resolved, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _load_corpus(out: Path):
-    cat = out / "corpus" / "catalog.tsv"
-    bsk = out / "corpus" / "baskets.txt"
-    if not cat.exists() or not bsk.exists():
+def _corpus_files(out: Path, *names: str) -> list[Path]:
+    paths = [out / "corpus" / name for name in names]
+    if not all(p.exists() for p in paths):
         raise SystemExit(f"error: no ingested corpus under {out / 'corpus'}; run `bastext ingest` first")
-    catalog, baskets, _ = corpus.import_dataset("canonical", [cat, bsk])
+    return paths
+
+
+def _load_corpus(out: Path):
+    catalog, baskets, _ = corpus.import_dataset(
+        "canonical", _corpus_files(out, "catalog.tsv", "baskets.txt"))
     return catalog, baskets
 
 
@@ -161,7 +167,7 @@ def _load_for_query(args):
     if args.top_n < 1:
         raise SystemExit(f"error: --top-n must be >= 1, got {args.top_n}")
     out = Path(args.out)
-    catalog, _ = _load_corpus(out)
+    catalog = corpus.read_catalog(*_corpus_files(out, "catalog.tsv"))
     state = model.load_model(args.model or out / "models" / "model.bin")
     if not model.check_catalog_hash(state, catalog):
         print("warning: catalog hash differs from the one the model was trained on",

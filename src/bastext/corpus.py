@@ -145,8 +145,9 @@ def import_dataset(fmt: str, paths: list[str | Path]) -> tuple[Catalog, list[Bas
     """
     paths = [Path(p) for p in paths]
     for p in paths:
-        if not p.exists():
-            raise CorpusError(f"input file not found: {p}")
+        if not p.is_file():
+            raise CorpusError(f"input file not found: {p}" if not p.exists()
+                              else f"input path is not a file: {p}")
     if fmt == "canonical":
         raw = _read_canonical(paths)
     elif fmt == "onlineretail":
@@ -157,15 +158,9 @@ def import_dataset(fmt: str, paths: list[str | Path]) -> tuple[Catalog, list[Bas
         raise CorpusError(f"unknown dataset format: {fmt!r}")
 
     titles, transactions, skipped = raw
-    stats = IngestStats(rows_skipped=skipped)
-    catalog = Catalog()
-    keep: dict[str, int] = {}
-    for ext, title in titles.items():
-        if not title.strip():
-            stats.products_dropped_empty_title += 1
-            continue
-        keep[ext] = catalog.add(ext, title)
-
+    catalog, dropped = _catalog_from_titles(titles)
+    stats = IngestStats(rows_skipped=skipped, products_dropped_empty_title=dropped)
+    keep = catalog._by_external
     baskets: list[Basket] = []
     for source_id, members in transactions:
         ids = sorted({keep[m] for m in members if m in keep})
@@ -177,6 +172,57 @@ def import_dataset(fmt: str, paths: list[str | Path]) -> tuple[Catalog, list[Bas
     if not baskets:
         raise CorpusError("zero usable baskets after ingestion")
     return catalog, baskets, stats
+
+
+def read_catalog(path) -> Catalog:
+    """The catalog of a canonical `catalog.tsv`, exactly as `import_dataset` builds it.
+
+    Reads no baskets file, so a query needs only the catalog and the model.
+    """
+    return _catalog_from_titles(_read_titles(Path(path))[0])[0]
+
+
+def _catalog_from_titles(titles: dict[str, str]) -> tuple[Catalog, int]:
+    """Products in title order, without those whose title is blank (their count is returned)."""
+    catalog = Catalog()
+    dropped = 0
+    for ext, title in titles.items():
+        if title.strip():
+            catalog.add(ext, title)
+        else:
+            dropped += 1
+    return catalog, dropped
+
+
+def _read_lines(path: Path) -> list[str]:
+    """The lines of a UTF-8 text file; an unreadable or undecodable file is a `CorpusError`."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise CorpusError(f"{path}: cannot read file: {exc.strerror}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise CorpusError(f"{path}:{line}: invalid UTF-8") from None
+    return text.splitlines()
+
+
+def _read_titles(path: Path) -> tuple[dict[str, str], int]:
+    """`externalId<TAB>title` lines as titles by external id, plus the count of lines
+    without a tab. Blank lines are skipped; a repeated id keeps its first position
+    and takes its last title."""
+    titles: dict[str, str] = {}
+    skipped = 0
+    for line in _read_lines(path):
+        if not line.strip():
+            continue
+        if "\t" not in line:
+            skipped += 1
+            continue
+        ext, title = line.split("\t", 1)
+        titles[ext] = title
+    return titles, skipped
 
 
 def _read_canonical(paths: list[Path]):
@@ -196,16 +242,9 @@ def _read_canonical(paths: list[Path]):
     titles: dict[str, str] = {}
     skipped = 0
     if catalog_path is not None:
-        for line in catalog_path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            if "\t" not in line:
-                skipped += 1
-                continue
-            ext, title = line.split("\t", 1)
-            titles[ext] = title
+        titles, skipped = _read_titles(catalog_path)
     transactions = []
-    for i, line in enumerate(baskets_path.read_text(encoding="utf-8").splitlines()):
+    for i, line in enumerate(_read_lines(baskets_path)):
         members = line.split()
         if not members:
             continue
@@ -357,22 +396,42 @@ def _partition(baskets: list[Basket], ratios, seed: int) -> tuple[list[Basket], 
     return tr, va, te
 
 
-def _product_set(baskets: list[Basket]) -> set[int]:
-    out: set[int] = set()
-    for b in baskets:
-        out.update(b.product_ids.tolist())
-    return out
+def _product_mask(baskets: list[Basket], num_products: int) -> np.ndarray:
+    """Boolean mask over product ids: True for every product occurring in `baskets`."""
+    mask = np.zeros(num_products, dtype=bool)
+    mask[basket_csr(baskets)[1]] = True
+    return mask
 
 
-def _filter_to(baskets: list[Basket], allowed: set[int]) -> list[Basket]:
-    """Remove products outside `allowed`; drop baskets reduced below size 2."""
+def _filter_to(baskets: list[Basket], allowed: np.ndarray) -> list[Basket]:
+    """Remove products outside the boolean mask `allowed`; drop baskets reduced below size 2."""
     kept = []
     for b in baskets:
-        mask = np.array([i in allowed for i in b.product_ids], dtype=bool)
-        ids = b.product_ids[mask]
+        ids = b.product_ids[allowed[b.product_ids]]
         if len(ids) >= 2:
             kept.append(Basket(ids, b.source_id))
     return kept
+
+
+def _apply_split_filters(mode: str, train: list[Basket], validation: list[Basket],
+                         test: list[Basket], cold, num_products: int):
+    """The one filtering rule of a split, applied to its raw basket partition.
+
+    Warm: validation and test keep only products seen in training. Cold: training
+    loses the held-out `cold` products, then validation keeps only products left in
+    training, and test stays whole. Returns the filtered (train, validation, test).
+    """
+    if mode == "warm":
+        seen = _product_mask(train, num_products)
+        return train, _filter_to(validation, seen), _filter_to(test, seen)
+    allowed = np.ones(num_products, dtype=bool)
+    allowed[np.array(list(cold), dtype=np.int64)] = False
+    train = _filter_to(train, allowed)
+    return train, _filter_to(validation, _product_mask(train, num_products)), test
+
+
+def _num_products(baskets: list[Basket]) -> int:
+    return int(basket_csr(baskets)[1].max()) + 1
 
 
 def split_warm(baskets: list[Basket], ratios=(0.85, 0.05, 0.10), seed: int = 0) -> DatasetSplit:
@@ -380,9 +439,7 @@ def split_warm(baskets: list[Basket], ratios=(0.85, 0.05, 0.10), seed: int = 0) 
     tr, va, te = _partition(baskets, ratios, seed)
     if not tr or not te:
         raise CorpusError("warm split produced an empty train or test set")
-    train_products = _product_set(tr)
-    va = _filter_to(va, train_products)
-    te = _filter_to(te, train_products)
+    tr, va, te = _apply_split_filters("warm", tr, va, te, (), _num_products(baskets))
     return DatasetSplit(tr, va, te, "warm", seed)
 
 
@@ -401,16 +458,14 @@ def split_cold(baskets: list[Basket], ratios=(0.85, 0.05, 0.10),
     if not tr or not te:
         raise CorpusError("cold split produced an empty train or test set")
     rng = np.random.default_rng(seed + 1)
-    test_products = sorted(_product_set(te))
+    num_products = _num_products(baskets)
+    test_products = np.flatnonzero(_product_mask(te, num_products))
     n_cold = int(round(test_product_fraction * len(test_products)))
     if n_cold < 10:
         raise CorpusError(
             f"degenerate cold split: only {n_cold} test products would be held out")
-    cold = set(rng.choice(np.array(test_products, dtype=np.int64), size=n_cold,
-                          replace=False).tolist())
-    warm_allowed = _product_set(baskets) - cold
-    tr = _filter_to(tr, warm_allowed)
-    va = _filter_to(va, _product_set(tr))
+    cold = set(rng.choice(test_products, size=n_cold, replace=False).tolist())
+    tr, va, te = _apply_split_filters("cold", tr, va, te, cold, num_products)
     return DatasetSplit(tr, va, te, "cold", seed, test_product_ids=cold)
 
 
@@ -430,37 +485,35 @@ def save_split_manifest(split: DatasetSplit, catalog: Catalog, path) -> None:
 
 def load_split_manifest(path, catalog: Catalog, baskets: list[Basket]) -> DatasetSplit:
     """Rebuild a split from its manifest by reapplying the deterministic filtering."""
+    path = Path(path)
     by_source = {b.source_id: b for b in baskets}
     mode, seed = "warm", 0
     parts: dict[str, list[Basket]] = {"train": [], "validation": [], "test": []}
     cold: set[int] = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for i, line in enumerate(_read_lines(path), 1):
         key, _, value = line.partition("\t")
-        if key == "mode":
-            mode = value
-        elif key == "seed":
-            seed = int(value)
-        elif key in parts:
+        if key in parts:
             if value not in by_source:
-                raise CorpusError(f"manifest references unknown basket {value!r}")
+                raise CorpusError(f"{path}:{i}: manifest references unknown basket {value!r}")
             parts[key].append(by_source[value])
         elif key == "testproduct":
             pid = catalog.get(value)
             if pid is None:
-                raise CorpusError(f"manifest references unknown product {value!r}")
+                raise CorpusError(f"{path}:{i}: manifest references unknown product {value!r}")
             cold.add(pid)
+        elif key == "mode" and value in ("warm", "cold"):
+            mode = value
+        elif key == "seed":
+            try:
+                seed = int(value)
+            except ValueError:
+                raise CorpusError(f"{path}:{i}: split seed must be an integer, got {value!r}") from None
         else:
-            raise CorpusError(f"bad manifest line: {line!r}")
-    tr, va, te = parts["train"], parts["validation"], parts["test"]
-    if mode == "warm":
-        train_products = _product_set(tr)
-        va = _filter_to(va, train_products)
-        te = _filter_to(te, train_products)
-        return DatasetSplit(tr, va, te, "warm", seed)
-    warm_allowed = _product_set(baskets) - cold
-    tr = _filter_to(tr, warm_allowed)
-    va = _filter_to(va, _product_set(tr))
-    return DatasetSplit(tr, va, te, "cold", seed, test_product_ids=cold)
+            raise CorpusError(f"{path}:{i}: bad manifest line: {line!r}")
+    tr, va, te = _apply_split_filters(mode, parts["train"], parts["validation"], parts["test"],
+                                      cold, len(catalog))
+    return DatasetSplit(tr, va, te, mode, seed,
+                        test_product_ids=cold if mode == "cold" else set())
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +522,7 @@ def load_split_manifest(path, catalog: Catalog, baskets: list[Basket]) -> Datase
 
 def basket_csr(baskets: list[Basket]) -> tuple[np.ndarray, np.ndarray]:
     """Baskets as CSR arrays: basket r's members are `indices[indptr[r]:indptr[r + 1]]`."""
-    lens = np.array([len(b) for b in baskets], dtype=np.int64)
+    lens = np.array([len(b.product_ids) for b in baskets], dtype=np.int64)
     indptr = np.concatenate([[0], np.cumsum(lens)])
     indices = np.concatenate([np.zeros(0, dtype=np.int64)] + [b.product_ids for b in baskets])
     return indptr, indices

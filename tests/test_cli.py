@@ -125,6 +125,30 @@ def test_queries_never_return_excluded_products(tmp_path, raw_corpus, capsys):
     assert len(capsys.readouterr().out.strip().splitlines()) == m
 
 
+def test_queries_read_only_the_catalog(tmp_path, raw_corpus, capsys):
+    out = tmp_path / "run"
+    _pipeline(out, raw_corpus, epochs=1)
+    catalog, _ = cli._load_corpus(out)
+    eid0, eid1 = catalog.products[0].external_id, catalog.products[1].external_id
+    queries = [["similar", eid0], ["alsobuy", eid0], ["search", catalog.products[0].title],
+               ["next", eid0, eid1]]
+    capsys.readouterr()
+
+    def stdout_of_queries():
+        outs = []
+        for q in queries:
+            assert _run([*q, "--out", out]) == 0
+            outs.append(capsys.readouterr().out)
+        return outs
+
+    before = stdout_of_queries()
+    (out / "corpus" / "baskets.txt").unlink()
+    assert stdout_of_queries() == before
+    (out / "corpus" / "catalog.tsv").unlink()
+    with pytest.raises(SystemExit, match="no ingested corpus"):
+        _run(["similar", eid0, "--out", out])
+
+
 def test_bad_pretrained_file_exits_1(tmp_path, raw_corpus, capsys):
     out = tmp_path / "run"
     cat, bsk = raw_corpus
@@ -213,16 +237,36 @@ def test_missing_file_exits_1_without_traceback(tmp_path, raw_corpus, capsys, ar
     _assert_cli_error_exit(tmp_path, raw_corpus, capsys, argv)
 
 
-def _assert_cli_error_exit(tmp_path, raw_corpus, capsys, argv):
-    """On an ingested and split corpus with no model, `argv` exits 1 with a one-line error."""
+@pytest.mark.parametrize("argv, files, expect", [
+    (["ingest", "--format", "canonical", "catalog.tsv", "baskets.txt"],
+     {"catalog.tsv": b"p0\tred tea\np1\tgreen \xff tea\n", "baskets.txt": b"p0 p1\n"},
+     "catalog.tsv:2: invalid UTF-8"),
+    (["split"], {"run/corpus/baskets.txt": b"p0 p1\np2 \xfe\n"}, "baskets.txt:2: invalid UTF-8"),
+    (["similar", "p0"], {"run/corpus/catalog.tsv": b"p0\t\xc3(\n"}, "catalog.tsv:1: invalid UTF-8"),
+    (["ingest", "--format", "canonical", "."], {}, "input path is not a file: ."),
+    (["evaluate", "--method", "pop"], {"run/splits/warm.manifest": b"mode\twarm\nseed\tabc\n"},
+     "warm.manifest:2: split seed must be an integer, got 'abc'"),
+], ids=["catalog-utf8", "baskets-utf8", "query-catalog-utf8", "ingest-directory",
+        "manifest-seed"])
+def test_bad_input_file_exits_1_without_traceback(tmp_path, raw_corpus, capsys, argv, files,
+                                                  expect):
+    _assert_cli_error_exit(tmp_path, raw_corpus, capsys, argv, files, expect)
+
+
+def _assert_cli_error_exit(tmp_path, raw_corpus, capsys, argv, files=None, expect=""):
+    """On an ingested and split corpus with no model, `argv` exits 1 with a one-line error
+    containing `expect`. `files` (paths relative to `tmp_path`: bytes) are written first."""
     out = tmp_path / "run"
     cat, bsk = raw_corpus
     assert _run(["ingest", "--format", "canonical", cat, bsk, "--out", out]) == 0
     assert _run(["split", "--out", out]) == 0
     capsys.readouterr()
+    for rel, data in (files or {}).items():
+        (tmp_path / rel).write_bytes(data)
     env = dict(os.environ, PYTHONPATH=str(Path(bastext.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "bastext.cli", *argv, "--out", str(out)],
                           capture_output=True, text=True, env=env, timeout=120, cwd=tmp_path)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+    assert expect in proc.stderr

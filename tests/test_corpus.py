@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from bastext.corpus import (Basket, Catalog, CorpusError, basket_csr, build_vocabulary,
                             form_positive_examples, import_dataset, leave_one_out,
-                            load_split_manifest, sample_negatives,
+                            load_split_manifest, read_catalog, sample_negatives,
                             save_split_manifest, split_cold, split_warm,
                             tokenize, write_canonical)
 from bastext.synthetic import make_random_corpus
@@ -138,6 +138,31 @@ def test_unknown_format_fatal(tmp_path):
         import_dataset("nope", [tmp_path / "x"])
 
 
+_CATALOG_LINES = st.one_of(
+    st.tuples(st.sampled_from(["p0", "p1", "p2", "p3"]),
+              st.text(alphabet="aZ 9\té-", max_size=8)).map("\t".join),
+    st.sampled_from(["", "  ", "p4", "no tab here"]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_CATALOG_LINES, max_size=14))
+def test_read_catalog_matches_import_dataset(tmp_path_factory, lines):
+    """Duplicate ids (first position, last title), blank titles, blank lines and lines
+    without a tab give the same catalog through both readers."""
+    d = tmp_path_factory.mktemp("catalog")
+    cat, bsk = d / "catalog.tsv", d / "baskets.txt"
+    cat.write_text("\n".join(lines + ["q0\tkeep zero", "q1\tkeep one"]) + "\n",
+                   encoding="utf-8")
+    bsk.write_text("q0 q1\np0 p1 q0\n", encoding="utf-8")
+    got = read_catalog(cat)
+    want = import_dataset("canonical", [cat, bsk])[0]
+    assert got.external_ids() == want.external_ids()
+    assert [p.title for p in got.products] == [p.title for p in want.products]
+    assert [p.tokens for p in got.products] == [p.tokens for p in want.products]
+    assert got.content_hash() == want.content_hash()
+
+
 def test_canonical_round_trip(tmp_path):
     cat, baskets = make_random_corpus(20, 30, seed=7)
     write_canonical(cat, baskets, tmp_path / "c.tsv", tmp_path / "b.txt")
@@ -204,19 +229,29 @@ def test_split_cold_degenerate_fatal(tiny_baskets):
         split_cold(tiny_baskets, seed=0)
 
 
-def test_split_manifest_round_trip(tmp_path):
-    cat, baskets = make_random_corpus(150, 600, seed=13)
-    for sp in (split_warm(baskets, seed=4), split_cold(baskets, seed=4)):
-        path = tmp_path / f"{sp.mode}.manifest"
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=80, max_value=150), st.integers(min_value=400, max_value=600),
+       st.integers(min_value=4, max_value=8), st.integers(min_value=0, max_value=10_000),
+       st.sampled_from([(0.85, 0.05, 0.10), (0.7, 0.0, 0.3), (0.5, 0.25, 0.25)]),
+       st.floats(min_value=0.3, max_value=1.0))
+def test_split_manifest_round_trip(tmp_path_factory, num_products, num_baskets, max_basket,
+                                   seed, ratios, cold_fraction):
+    """split -> save_split_manifest -> load_split_manifest gives an identical split."""
+    cat, baskets = make_random_corpus(num_products, num_baskets, max_basket, seed=seed)
+    d = tmp_path_factory.mktemp("manifest")
+    for sp in (split_warm(baskets, ratios, seed=seed),
+               split_cold(baskets, ratios, cold_fraction, seed=seed)):
+        path = d / f"{sp.mode}.manifest"
         save_split_manifest(sp, cat, path)
         back = load_split_manifest(path, cat, baskets)
-        assert back.mode == sp.mode
+        assert (back.mode, back.seed) == (sp.mode, sp.seed)
         assert back.test_product_ids == sp.test_product_ids
         for xs, ys in ((sp.train, back.train), (sp.validation, back.validation),
                        (sp.test, back.test)):
             assert [x.source_id for x in xs] == [y.source_id for y in ys]
             for x, y in zip(xs, ys):
                 assert np.array_equal(x.product_ids, y.product_ids)
+                assert x.product_ids.dtype == y.product_ids.dtype
 
 
 # ---------------------------------------------------------------------------
