@@ -10,10 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.special import expit
 
-from .corpus import Basket
+from .corpus import Basket, basket_csr, leave_one_out
 from .evaluation import order_pool
-from .kernels import scatter_rows
+from .kernels import cosine_to_all, scatter_rows
 
 
 class PopModel:
@@ -57,14 +58,9 @@ class ItemKnnModel:
     @classmethod
     def fit(cls, train_baskets: list[Basket], num_products: int,
             last_item_only: bool = False) -> "ItemKnnModel":
-        rows, cols = [], []
-        for r, b in enumerate(train_baskets):
-            rows.append(np.full(len(b), r, dtype=np.int64))
-            cols.append(b.product_ids)
-        x = sparse.coo_matrix(
-            (np.ones(sum(len(b) for b in train_baskets)),
-             (np.concatenate(rows), np.concatenate(cols))),
-            shape=(len(train_baskets), num_products)).tocsr()
+        indptr, indices = basket_csr(train_baskets)
+        x = sparse.csr_matrix((np.ones(len(indices)), indices, indptr),
+                              shape=(len(train_baskets), num_products))
         return cls((x.T @ x).tocsr(), last_item_only)
 
     @property
@@ -77,27 +73,24 @@ class ItemKnnModel:
         return np.asarray(self.normalized @ ref)
 
 
-def sgns_pair_loss(in_vecs: np.ndarray, out_vecs: np.ndarray, center: int,
-                   positive: int, negatives: np.ndarray):
-    """Skip-gram negative-sampling loss for one (center, positive, negatives) draw.
+def sgns_batch_grads(in_vecs: np.ndarray, out_vecs: np.ndarray, centers: np.ndarray,
+                     contexts: np.ndarray, negs: np.ndarray):
+    """Gradient rows of the skip-gram negative-sampling loss summed over a batch.
 
-    Returns (loss, grad_in, grad_out) where the grads are dense matrices matching
-    the vector tables; used by the trainer step and by gradient tests.
+    Example i's loss is `log(1 + exp(-v . u)) + sum_j log(1 + exp(v . w_j))` with
+    `v = in_vecs[centers[i]]`, `u = out_vecs[contexts[i]]` and `w_j = out_vecs[negs[i, j]]`.
+    Returns `(in_rows, in_grads, out_rows, out_grads)`: gradient row j belongs to table
+    row `in_rows[j]` (or `out_rows[j]`), and `scatter_rows` sums them into each table.
     """
-    from scipy.special import expit
-
-    v = in_vecs[center]
-    zp = v @ out_vecs[positive]
-    zn = out_vecs[negatives] @ v
-    loss = float(np.logaddexp(0.0, -zp) + np.logaddexp(0.0, zn).sum())
-    gp = expit(zp) - 1.0
-    gn = expit(zn)
-    grad_in = np.zeros_like(in_vecs)
-    grad_out = np.zeros_like(out_vecs)
-    grad_in[center] = gp * out_vecs[positive] + gn @ out_vecs[negatives]
-    grad_out[positive] = gp * v
-    grad_out += scatter_rows(negatives, gn[:, None] * v[None, :], len(out_vecs))
-    return loss, grad_in, grad_out
+    b, n = negs.shape
+    v = in_vecs[centers]  # (b, k)
+    op = out_vecs[contexts]  # (b, k)
+    on = out_vecs[negs]  # (b, n, k)
+    gp = expit(np.einsum("bk,bk->b", v, op)) - 1.0
+    gn = expit(np.einsum("bk,bnk->bn", v, on))
+    d_in = gp[:, None] * op + np.einsum("bn,bnk->bk", gn, on)
+    d_out = np.concatenate([gp[:, None] * v, (gn[:, :, None] * v[:, None, :]).reshape(b * n, -1)])
+    return centers, d_in, np.concatenate([contexts, negs.ravel()]), d_out
 
 
 @dataclass
@@ -130,17 +123,10 @@ class Prod2vecModel:
         in_vecs = ((rng.random((num_products, cfg.k)) - 0.5) / cfg.k).astype(np.float64)
         out_vecs = np.zeros((num_products, cfg.k), dtype=np.float64)
 
-        # every ordered pair of distinct products within a basket
-        centers, contexts = [], []
-        for b in train_baskets:
-            ids = b.product_ids
-            m = len(ids)
-            grid = np.repeat(ids, m), np.tile(ids, m)
-            keep = grid[0] != grid[1]
-            centers.append(grid[0][keep])
-            contexts.append(grid[1][keep])
-        centers = np.concatenate(centers)
-        contexts = np.concatenate(contexts)
+        # every ordered pair of distinct products within a basket, basket by basket
+        indptr, indices = basket_csr(train_baskets)
+        held, contexts, ctx_lens, _ = leave_one_out(indptr, indices, np.arange(len(indices)))
+        centers = np.repeat(held, ctx_lens)
         n_pairs = len(centers)
         total = cfg.epochs * n_pairs
         done = 0
@@ -150,37 +136,14 @@ class Prod2vecModel:
                 idx = order[start: start + cfg.batch_size]
                 alpha = cfg.learning_rate * max(1.0 - done / total,
                                                 cfg.min_learning_rate_factor)
-                _sgns_batch_update(in_vecs, out_vecs, centers[idx], contexts[idx],
-                                   cfg.negatives, alpha, rng)
+                negs = rng.integers(0, num_products, size=(len(idx), cfg.negatives))
+                in_rows, d_in, out_rows, d_out = sgns_batch_grads(
+                    in_vecs, out_vecs, centers[idx], contexts[idx], negs)
+                in_vecs -= scatter_rows(in_rows, alpha * d_in, num_products)
+                out_vecs -= scatter_rows(out_rows, alpha * d_out, num_products)
                 done += len(idx)
         return cls(in_vecs, out_vecs)
 
     def score_all(self, context_ids: np.ndarray) -> np.ndarray:
         """Cosine between the mean context in-vector and every product's in-vector."""
-        basket = self.in_vecs[np.asarray(context_ids)].mean(axis=0)
-        bn = np.linalg.norm(basket)
-        norms = np.linalg.norm(self.in_vecs, axis=1)
-        denom = norms * bn
-        scores = np.zeros(self.num_products)
-        nz = denom > 0
-        scores[nz] = (self.in_vecs @ basket)[nz] / denom[nz]
-        return scores
-
-
-def _sgns_batch_update(in_vecs, out_vecs, centers, contexts, n_neg, alpha, rng):
-    """One mini-batched SGD step over (center, context) pairs with uniform negatives."""
-    from scipy.special import expit
-
-    b = len(centers)
-    negs = rng.integers(0, out_vecs.shape[0], size=(b, n_neg))
-    v = in_vecs[centers]  # (b, k)
-    op = out_vecs[contexts]  # (b, k)
-    on = out_vecs[negs]  # (b, n, k)
-    gp = expit(np.einsum("bk,bk->b", v, op)) - 1.0
-    gn = expit(np.einsum("bk,bnk->bn", v, on))
-    d_v = gp[:, None] * op + np.einsum("bn,bnk->bk", gn, on)
-    d_out = np.concatenate([gp[:, None] * v,
-                            (gn[:, :, None] * v[:, None, :]).reshape(b * n_neg, -1)])
-    in_vecs -= scatter_rows(centers, alpha * d_v, len(in_vecs))
-    out_vecs -= scatter_rows(np.concatenate([contexts, negs.ravel()]), alpha * d_out,
-                             len(out_vecs))
+        return cosine_to_all(self.in_vecs[np.asarray(context_ids)].mean(axis=0), self.in_vecs)

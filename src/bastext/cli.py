@@ -21,6 +21,7 @@ import numpy as np
 
 from . import baselines, corpus, evaluation, model
 from .encoders import EncoderError, load_pretrained_vectors
+from .kernels import cosine_to_all
 
 
 def _echo_config(args: argparse.Namespace, path: Path) -> None:
@@ -187,16 +188,6 @@ def _print_top(catalog, ids, scores) -> None:
     for i, s in zip(ids, scores):
         p = catalog.products[i]
         print(f"{p.external_id}\t{s:.6f}\t{p.title}")
-
-
-def cosine_to_all(vec: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Cosine of `vec` against every row; zero rows (or a zero query) score 0."""
-    norms = np.linalg.norm(matrix, axis=1)
-    vn = np.linalg.norm(vec)
-    out = np.zeros(matrix.shape[0])
-    nz = (norms > 0) & (vn > 0)
-    out[nz] = (matrix @ vec)[nz] / (norms[nz] * vn)
-    return out
 
 
 def _top_k(scores: np.ndarray, k: int, exclude=()) -> np.ndarray:

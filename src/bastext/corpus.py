@@ -194,17 +194,17 @@ def _catalog_from_titles(titles: dict[str, str]) -> tuple[Catalog, int]:
     return catalog, dropped
 
 
-def _read_lines(path: Path) -> list[str]:
-    """The lines of a UTF-8 text file; an unreadable or undecodable file is a `CorpusError`."""
+def _read_lines(path: Path, error: type[Exception] = CorpusError) -> list[str]:
+    """The lines of a UTF-8 text file; an unreadable or undecodable file raises `error`."""
     try:
         data = path.read_bytes()
     except OSError as exc:
-        raise CorpusError(f"{path}: cannot read file: {exc.strerror}") from exc
+        raise error(f"{path}: cannot read file: {exc.strerror}") from exc
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise CorpusError(f"{path}:{line}: invalid UTF-8") from None
+        raise error(f"{path}:{line}: invalid UTF-8") from None
     return text.splitlines()
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import DatasetSplit, basket_csr, leave_one_out
+from .corpus import DatasetSplit, _read_lines, basket_csr, leave_one_out
 
 
 class EvalError(RuntimeError):
@@ -161,12 +161,8 @@ class ExternalScorer:
 
     @classmethod
     def load(cls, path, num_products: int) -> "ExternalScorer":
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise EvalError(f"{path}: cannot read score file: {exc.strerror}") from exc
         per_case = {}
-        for lineno, line in enumerate(text.splitlines(), 1):
+        for lineno, line in enumerate(_read_lines(Path(path), EvalError), 1):
             if not line.strip():
                 continue
             idx_s, _, rest = line.partition("\t")

@@ -1,8 +1,9 @@
-"""Numeric kernels shared by the trainers.
+"""Numeric kernels shared by the trainers and scorers.
 
 `scatter_rows` is the one scatter-add in the package: the model's loss, the
 CNN backward pass and the SGNS baseline all sum gradient rows into parameter
-rows through it.
+rows through it. `cosine_to_all` is the one cosine against a table: the
+`similar` and `search` queries and the prod2vec scorer rank products by it.
 """
 
 from __future__ import annotations
@@ -30,3 +31,13 @@ def scatter_rows(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
         shape=(n, len(index)))
     out = indicator @ values.reshape(len(index), int(np.prod(values.shape[1:])))
     return out.reshape((n,) + values.shape[1:])
+
+
+def cosine_to_all(vec: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Cosine of `vec` against every row; zero rows (or a zero query) score 0."""
+    norms = np.linalg.norm(matrix, axis=1)
+    vn = np.linalg.norm(vec)
+    out = np.zeros(matrix.shape[0])
+    nz = (norms > 0) & (vn > 0)
+    out[nz] = (matrix @ vec)[nz] / (norms[nz] * vn)
+    return out

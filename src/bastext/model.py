@@ -163,12 +163,13 @@ class BastextScorer:
 
 def _loss_arrays(state: ModelState, token_ids: list[np.ndarray],
                  cand_ids: np.ndarray, ex_ctx: np.ndarray,
-                 ctx_flat: np.ndarray, ctx_offsets: np.ndarray, ctx_lens: np.ndarray,
+                 ctx_flat: np.ndarray, ctx_lens: np.ndarray,
                  labels: np.ndarray, training: bool, rng) -> tuple[float, dict[str, np.ndarray]]:
     """Vectorized batch loss + gradients.
 
-    `ctx_flat/ctx_offsets/ctx_lens` describe the distinct contexts; `ex_ctx[e]`
-    names the context of example e, so negatives share their positive's context.
+    `ctx_flat/ctx_lens` describe the distinct contexts, concatenated in order;
+    `ex_ctx[e]` names the context of example e, so negatives share their
+    positive's context.
     """
     cfg = state.config
     dtype = state.params_e.as_dict()["proj" if cfg.encoder == "cnn" else "W"].dtype
@@ -183,7 +184,7 @@ def _loss_arrays(state: ModelState, token_ids: list[np.ndarray],
                                dropout_rate=drop, rng=rng)
 
     ctx_rows = hc[ctx_inv]  # (total ctx tokens, K)
-    sums = np.add.reduceat(ctx_rows, ctx_offsets, axis=0)
+    sums = np.add.reduceat(ctx_rows, np.cumsum(ctx_lens) - ctx_lens, axis=0)
     lens = ctx_lens.astype(dtype)[:, None]  # an int64 divisor would promote to float64
     hbar = sums / lens
 
@@ -224,11 +225,10 @@ def batch_loss(batch: list[TrainingExample], state: ModelState, token_ids: list[
     cand_ids = np.array([ex.candidate_id for ex in batch], dtype=np.int64)
     ctx_lens = np.array([len(ex.context_ids) for ex in batch], dtype=np.int64)
     ctx_flat = np.concatenate([ex.context_ids for ex in batch])
-    ctx_offsets = np.concatenate([[0], np.cumsum(ctx_lens)[:-1]])
     labels = np.array([ex.label for ex in batch], dtype=np.int64)
     ex_ctx = np.arange(len(batch))
-    return _loss_arrays(state, token_ids, cand_ids, ex_ctx, ctx_flat, ctx_offsets,
-                        ctx_lens, labels, training, rng)
+    return _loss_arrays(state, token_ids, cand_ids, ex_ctx, ctx_flat, ctx_lens, labels,
+                        training, rng)
 
 
 def adam_step(state: ModelState, grads: dict[str, np.ndarray]) -> None:
@@ -352,7 +352,6 @@ def train(config: ModelConfig, train_baskets: list[Basket], validation_baskets: 
             cands, ctx_flat, ctx_lens, bids = leave_one_out(
                 indptr, indices, order[start: start + config.batch_size])
             b = len(cands)
-            ctx_offsets = np.concatenate([[0], np.cumsum(ctx_lens)[:-1]])
 
             batch_rng = np.random.Generator(np.random.Philox(
                 np.random.SeedSequence([config.seed, 2, epoch, n_batches])))
@@ -363,8 +362,8 @@ def train(config: ModelConfig, train_baskets: list[Basket], validation_baskets: 
                                      np.repeat(np.arange(b), config.negatives)])
             labels = np.concatenate([np.ones(b, dtype=np.int64),
                                      -np.ones(b * config.negatives, dtype=np.int64)])
-            loss, grads = _loss_arrays(state, token_ids, cand_ids, ex_ctx, ctx_flat,
-                                       ctx_offsets, ctx_lens, labels, True, batch_rng)
+            loss, grads = _loss_arrays(state, token_ids, cand_ids, ex_ctx, ctx_flat, ctx_lens,
+                                       labels, True, batch_rng)
             adam_step(state, grads)
             epoch_loss += loss
             n_batches += 1

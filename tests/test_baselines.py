@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from bastext.baselines import (ItemKnnModel, PopModel, Prod2vecConfig, Prod2vecModel,
-                               sgns_pair_loss)
+                               sgns_batch_grads)
 from bastext.corpus import Basket
+from bastext.kernels import scatter_rows
 from bastext.synthetic import make_planted_corpus, make_random_corpus
 
 
@@ -108,20 +109,35 @@ def test_itemknn_symmetry():
 # prod2vec
 # ---------------------------------------------------------------------------
 
-def test_sgns_pair_loss_finite_differences():
+def _sgns_loss(in_vecs, out_vecs, centers, contexts, negs):
+    """Skip-gram negative-sampling loss summed over the batch, one example at a time."""
+    total = 0.0
+    for c, pos, ns in zip(centers, contexts, negs):
+        v = in_vecs[c]
+        total += np.logaddexp(0.0, -(v @ out_vecs[pos]))
+        total += sum(np.logaddexp(0.0, v @ out_vecs[n]) for n in ns)
+    return total
+
+
+def test_sgns_batch_grads_finite_differences():
     rng = np.random.default_rng(7)
-    in_vecs = rng.normal(size=(4, 3))
-    out_vecs = rng.normal(size=(4, 3))
-    negs = np.array([2, 3])
-    loss, gi, go = sgns_pair_loss(in_vecs, out_vecs, 0, 1, negs)
+    in_vecs = rng.normal(size=(5, 3))
+    out_vecs = rng.normal(size=(5, 3))
+    # center 0 twice; negative 3 twice in one row and again in another; row 0
+    # draws its own context (1) as a negative
+    centers = np.array([0, 0, 2])
+    contexts = np.array([1, 4, 0])
+    negs = np.array([[1, 2], [3, 3], [3, 0]])
+    in_rows, d_in, out_rows, d_out = sgns_batch_grads(in_vecs, out_vecs, centers, contexts, negs)
+    grads = (scatter_rows(in_rows, d_in, 5), scatter_rows(out_rows, d_out, 5))
     eps = 1e-6
-    for tab, grad in ((in_vecs, gi), (out_vecs, go)):
+    for tab, grad in zip((in_vecs, out_vecs), grads):
         for idx in range(tab.size):
             orig = tab.ravel()[idx]
             tab.ravel()[idx] = orig + eps
-            lp, _, _ = sgns_pair_loss(in_vecs, out_vecs, 0, 1, negs)
+            lp = _sgns_loss(in_vecs, out_vecs, centers, contexts, negs)
             tab.ravel()[idx] = orig - eps
-            lm, _, _ = sgns_pair_loss(in_vecs, out_vecs, 0, 1, negs)
+            lm = _sgns_loss(in_vecs, out_vecs, centers, contexts, negs)
             tab.ravel()[idx] = orig
             num = (lp - lm) / (2 * eps)
             assert abs(num - grad.ravel()[idx]) <= 1e-4 * max(1.0, abs(num))

@@ -1,0 +1,79 @@
+"""Smoke test of the benchmark's traced mode on a small in-process pipeline.
+
+A traced benchmark run (`bench/run.py --trace 1`) fails when a command raises
+under the tracer (its work counters call `len()` on positional arguments of
+the functions they wrap), when `layer_metrics` cannot read the spans (it needs
+two `encode_batch` and two `backward_batch` calls inside every `_loss_arrays`)
+or when the train-layer metrics explain too little of the train wall time.
+This test runs the bench's own tracer and `layer_metrics` over ingest → split →
+train → evaluate → one query, and checks the first two. Coverage is not gated:
+on a corpus this small, fixed costs outside the traced layers dominate.
+"""
+
+import importlib.util
+import json
+import math
+import time
+from pathlib import Path
+
+import pytest
+
+import bastext
+from bastext import cli, corpus
+from bastext.synthetic import make_planted_corpus
+
+ROOT = Path(__file__).resolve().parents[1]
+# Per-layer metrics that the workload process adds beside `layer_metrics`'s.
+NOT_FROM_SPANS = ("trace.overhead_share", ".peak_traced_mb")
+
+
+def _bench_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("encoder, cold", [("mov", False), ("cnn", True)],
+                         ids=["warm-mov", "cold-cnn"])
+def test_traced_pipeline_reports_every_layer_metric(tmp_path, capsys, encoder, cold):
+    tracer_mod = _bench_tracer()
+    catalog, baskets, _, _ = make_planted_corpus(
+        num_products=60, num_communities=2, group_sizes=(10, 10, 10),
+        num_baskets=400, basket_size=5, seed=0)
+    corpus.write_canonical(catalog, baskets, tmp_path / "catalog.tsv", tmp_path / "baskets.txt")
+    out = str(tmp_path / "run")
+    mode = ["--cold"] if cold else []
+    split = ["--cold", "--cold-fraction", "0.25"] if cold else []
+    steps = [
+        ("ingest", ["ingest", "--format", "canonical", str(tmp_path / "catalog.tsv"),
+                    str(tmp_path / "baskets.txt")]),
+        ("split", ["split", *split]),
+        ("train", ["train", *mode, "--encoder", encoder, "--k", "16", "--batch-size", "256",
+                   "--epochs", "1"]),
+        ("evaluate:bastext", ["evaluate", *mode, "--method", "bastext"]),
+        ("similar", ["similar", catalog.external_ids()[0]]),
+    ]
+
+    tracer = tracer_mod.Tracer()
+    commands = []
+    for label, argv in steps:
+        tracer.command = len(commands)
+        commands.append({"label": label, "epochs": 1 if label == "train" else 0})
+        tracer.install(bastext)
+        try:
+            start = time.perf_counter()
+            assert cli.main([*argv, "--out", out]) == 0
+            commands[-1]["wall"] = time.perf_counter() - start
+        finally:
+            tracer.uninstall()
+    capsys.readouterr()
+
+    layers = tracer_mod.layer_metrics(tracer.spans, commands, len(catalog))
+    declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    expected = {n for n in declared if not any(s in n for s in NOT_FROM_SPANS)}
+    assert expected - set(layers) == set()
+    assert all(math.isfinite(v) for v in layers.values())
+    # the spans were recorded: both towers ran forward inside the loss
+    assert layers["encoders.forward_E.s"] > 0 and layers["encoders.forward_C.s"] > 0
+    assert layers["cli.query.calls"] == 1

@@ -246,8 +246,10 @@ def test_missing_file_exits_1_without_traceback(tmp_path, raw_corpus, capsys, ar
     (["ingest", "--format", "canonical", "."], {}, "input path is not a file: ."),
     (["evaluate", "--method", "pop"], {"run/splits/warm.manifest": b"mode\twarm\nseed\tabc\n"},
      "warm.manifest:2: split seed must be an integer, got 'abc'"),
+    (["evaluate", "--method", "external", "--scores", "scores.tsv"],
+     {"scores.tsv": b"0\t1:0.5\xff\n"}, "scores.tsv:1: invalid UTF-8"),
 ], ids=["catalog-utf8", "baskets-utf8", "query-catalog-utf8", "ingest-directory",
-        "manifest-seed"])
+        "manifest-seed", "scores-utf8"])
 def test_bad_input_file_exits_1_without_traceback(tmp_path, raw_corpus, capsys, argv, files,
                                                   expect):
     _assert_cli_error_exit(tmp_path, raw_corpus, capsys, argv, files, expect)
