@@ -1,7 +1,9 @@
 """Reference scorers for the comparison protocol: POP, ItemKNN, and prod2vec.
 
-All three expose `score_all(context_ids) -> (M,) array` so the evaluator is
-scorer-agnostic.
+All three are `ContextScorer`s: `score_cases(indptr, ctx_flat, case_ids)`
+returns the (cases x M) score block of a block of cases whose contexts are CSR
+rows, which the evaluator ranks, and `score_all(context_ids) -> (M,)` is its
+one-case call, for the queries and the tests.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ from scipy import sparse
 from scipy.special import expit
 
 from .corpus import Basket, basket_csr, leave_one_out
-from .evaluation import order_pool
+from .evaluation import ContextScorer, order_pool
 from .kernels import cosine_to_all, scatter_rows
 
 
-class PopModel:
+class PopModel(ContextScorer):
     """Context-blind popularity scorer: score = training purchase count."""
 
     def __init__(self, counts: np.ndarray):
@@ -33,11 +35,11 @@ class PopModel:
     def num_products(self) -> int:
         return len(self.counts)
 
-    def score_all(self, context_ids: np.ndarray) -> np.ndarray:
-        return self.counts.astype(np.float64)
+    def score_cases(self, indptr, ctx_flat, case_ids) -> np.ndarray:
+        return np.broadcast_to(self.counts.astype(np.float64), (len(case_ids), len(self.counts)))
 
 
-class ItemKnnModel:
+class ItemKnnModel(ContextScorer):
     """Item-to-item scorer over the basket co-occurrence matrix.
 
     Similarity is the cosine between rows of C = X^T X, where X is the
@@ -67,10 +69,20 @@ class ItemKnnModel:
     def num_products(self) -> int:
         return self.cooccurrence.shape[0]
 
-    def score_all(self, context_ids: np.ndarray) -> np.ndarray:
-        ctx = np.asarray(context_ids)[-1:] if self.last_item_only else np.asarray(context_ids)
-        ref = np.asarray(self.normalized[ctx].mean(axis=0)).ravel()
-        return np.asarray(self.normalized @ ref)
+    def score_cases(self, indptr, ctx_flat, case_ids) -> np.ndarray:
+        """Row i is `N @ mean(N[ctx_i])`, N the normalized co-occurrence, for every case at once.
+
+        `A @ N`, with A the block's row-mean operator, sums each case's rows
+        in context order, and `N @ (A @ N).T` (dense) sums each score over N's
+        row in stored order, so every row equals the one-case product bit for bit.
+        """
+        if self.last_item_only:
+            ctx_flat, indptr = ctx_flat[indptr[1:] - 1], np.arange(len(indptr))
+        lens = np.diff(indptr)
+        mean_op = sparse.csr_matrix((np.repeat(1.0 / lens, lens), ctx_flat, indptr),
+                                    shape=(len(lens), self.num_products))
+        refs = mean_op @ self.normalized
+        return np.ascontiguousarray((self.normalized @ refs.T.toarray()).T)
 
 
 def sgns_batch_grads(in_vecs: np.ndarray, out_vecs: np.ndarray, centers: np.ndarray,
@@ -104,7 +116,7 @@ class Prod2vecConfig:
     batch_size: int = 2048
 
 
-class Prod2vecModel:
+class Prod2vecModel(ContextScorer):
     """Skip-gram product embeddings treating each basket as an unordered window."""
 
     def __init__(self, in_vecs: np.ndarray, out_vecs: np.ndarray):
@@ -144,6 +156,7 @@ class Prod2vecModel:
                 done += len(idx)
         return cls(in_vecs, out_vecs)
 
-    def score_all(self, context_ids: np.ndarray) -> np.ndarray:
-        """Cosine between the mean context in-vector and every product's in-vector."""
-        return cosine_to_all(self.in_vecs[np.asarray(context_ids)].mean(axis=0), self.in_vecs)
+    def score_cases(self, indptr, ctx_flat, case_ids) -> np.ndarray:
+        """Cosine between each case's mean context in-vector and every product's in-vector."""
+        return np.stack([cosine_to_all(self.in_vecs[ctx].mean(axis=0), self.in_vecs)
+                         for ctx in np.split(ctx_flat, indptr[1:-1])])

@@ -490,11 +490,15 @@ def load_split_manifest(path, catalog: Catalog, baskets: list[Basket]) -> Datase
     mode, seed = "warm", 0
     parts: dict[str, list[Basket]] = {"train": [], "validation": [], "test": []}
     cold: set[int] = set()
+    listed: set[str] = set()
     for i, line in enumerate(_read_lines(path), 1):
         key, _, value = line.partition("\t")
         if key in parts:
             if value not in by_source:
                 raise CorpusError(f"{path}:{i}: manifest references unknown basket {value!r}")
+            if value in listed:
+                raise CorpusError(f"{path}:{i}: basket {value!r} listed twice")
+            listed.add(value)
             parts[key].append(by_source[value])
         elif key == "testproduct":
             pid = catalog.get(value)

@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import DatasetSplit, _read_lines, basket_csr, leave_one_out
+from .kernels import EvalError, rank_block
 
-
-class EvalError(RuntimeError):
-    pass
+# Score entries per ranked block: a block holds max(1, BLOCK_ENTRIES // M) cases.
+BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass
@@ -63,17 +63,6 @@ def form_test_cases(split: DatasetSplit) -> list[TestCase]:
     return cases
 
 
-def rank_in_pool(scores: np.ndarray, pool_mask: np.ndarray, held: int) -> float:
-    """1-based rank of `held` among pool members by descending score, ties broken
-    by ascending id; inf when `held` is outside the pool."""
-    if not pool_mask[held]:
-        return np.inf
-    sh = scores[held]
-    higher = np.sum(pool_mask & (scores > sh))
-    tied_before = np.sum(pool_mask[:held] & (scores[:held] == sh))
-    return float(1 + higher + tied_before)
-
-
 def order_pool(scores: np.ndarray, pool_ids: np.ndarray) -> np.ndarray:
     """`pool_ids` ordered by descending score, ties broken by ascending id."""
     pool = np.asarray(pool_ids)
@@ -104,30 +93,58 @@ def mrr_at_n(ranks, n: int) -> float:
     return float(np.mean(contrib))
 
 
+class ContextScorer:
+    """Base of the scorers that score a case from its context alone.
+
+    A subclass implements `score_cases(indptr, ctx_flat, case_ids)`: the
+    (cases x M) score block of the cases whose contexts are the CSR rows
+    `ctx_flat[indptr[i]:indptr[i + 1]]`. `score_all` is its one-case call.
+    """
+
+    def score_all(self, context_ids: np.ndarray) -> np.ndarray:
+        ctx = np.asarray(context_ids)
+        return self.score_cases(np.array([0, len(ctx)]), ctx, np.zeros(1, dtype=np.int64))[0]
+
+
+def rank_cases(score_cases, num_products: int, held: np.ndarray, indptr: np.ndarray,
+               ctx_flat: np.ndarray, pool: np.ndarray | None = None) -> np.ndarray:
+    """`rank_block` over every case, scored and ranked a block of cases at a time.
+
+    `score_cases(indptr, ctx_flat, case_ids)` returns the block's scores; its
+    `indptr` and `ctx_flat` describe the block's contexts, and `case_ids` are
+    the block's case indices.
+    """
+    chunk = max(1, BLOCK_ENTRIES // num_products)
+    ranks = np.empty(len(held))
+    for start in range(0, len(held), chunk):
+        stop = min(start + chunk, len(held))
+        sub_ptr = indptr[start: stop + 1] - indptr[start]
+        sub_ctx = ctx_flat[indptr[start]: indptr[stop]]
+        block = score_cases(sub_ptr, sub_ctx, np.arange(start, stop))
+        ranks[start:stop] = rank_block(block, held[start:stop], sub_ptr, sub_ctx, pool)
+    return ranks
+
+
 def compute_ranks(scorer, test_cases: list[TestCase], pool: str = "all",
                   test_product_ids=None) -> np.ndarray:
     """1-based rank of every case's held-out product (inf when outside the pool).
 
-    An `ExternalScorer` supplies case i's scores by index; every other scorer
-    scores the case's context with `score_all`.
+    The scorer's `score_cases` scores a block of cases from their contexts (as
+    CSR) and their indices; an `ExternalScorer` looks its rows up by index.
     """
     if pool == "all":
-        mask = np.ones(scorer.num_products, dtype=bool)
+        mask = None
     elif pool == "test-products":
         mask = np.zeros(scorer.num_products, dtype=bool)
         mask[list(test_product_ids)] = True
     else:
         raise EvalError(f"unknown candidate pool {pool!r}")
-    external = isinstance(scorer, ExternalScorer)
-    ranks = np.empty(len(test_cases))
-    for i, case in enumerate(test_cases):
-        scores = scorer.scores_for_case(i) if external else scorer.score_all(case.context_ids)
-        ctx = case.context_ids
-        kept = mask[ctx]
-        mask[ctx] = False
-        ranks[i] = rank_in_pool(scores, mask, case.held_out_id)
-        mask[ctx] = kept
-    return ranks
+    lens = np.array([len(c.context_ids) for c in test_cases], dtype=np.int64)
+    indptr = np.concatenate([[0], np.cumsum(lens)])
+    ctx_flat = np.concatenate([np.zeros(0, dtype=np.int64)]
+                              + [c.context_ids for c in test_cases])
+    held = np.array([c.held_out_id for c in test_cases], dtype=np.int64)
+    return rank_cases(scorer.score_cases, scorer.num_products, held, indptr, ctx_flat, mask)
 
 
 def evaluate(scorer, test_cases: list[TestCase], ns=(10, 20), method: str = "model",
@@ -180,10 +197,13 @@ class ExternalScorer:
             per_case[idx] = (ids, vals)
         return cls(per_case, num_products)
 
-    def scores_for_case(self, index: int) -> np.ndarray:
-        if index not in self.per_case:
-            raise EvalError(f"external score file is missing case {index}")
-        ids, vals = self.per_case[index]
-        out = np.full(self.num_products, -np.inf)
-        out[ids] = vals
+    def score_cases(self, indptr: np.ndarray, ctx_flat: np.ndarray,
+                    case_ids: np.ndarray) -> np.ndarray:
+        """The listed cases' score rows, looked up by case index."""
+        out = np.full((len(case_ids), self.num_products), -np.inf)
+        for row, index in zip(out, case_ids):
+            if index not in self.per_case:
+                raise EvalError(f"external score file is missing case {index}")
+            ids, vals = self.per_case[index]
+            row[ids] = vals
         return out

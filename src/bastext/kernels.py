@@ -4,6 +4,8 @@
 CNN backward pass and the SGNS baseline all sum gradient rows into parameter
 rows through it. `cosine_to_all` is the one cosine against a table: the
 `similar` and `search` queries and the prod2vec scorer rank products by it.
+`rank_block` is the one ranking rule: evaluation and per-epoch validation
+rank every held-out product through it, a block of cases at a time.
 """
 
 from __future__ import annotations
@@ -41,3 +43,37 @@ def cosine_to_all(vec: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     nz = (norms > 0) & (vn > 0)
     out[nz] = (matrix @ vec)[nz] / (norms[nz] * vn)
     return out
+
+
+class EvalError(RuntimeError):
+    pass
+
+
+def rank_block(scores: np.ndarray, held: np.ndarray, indptr: np.ndarray, ctx_flat: np.ndarray,
+               pool: np.ndarray | None = None) -> np.ndarray:
+    """1-based rank of `held[i]` among the products that row i of `scores` scores.
+
+    Case i's context `ctx_flat[indptr[i]:indptr[i + 1]]` leaves its own row, and
+    `pool` (a boolean mask over the columns; None keeps every product) limits
+    every row. The rank is 1 + the number of products left that score higher
+    than `held[i]` or tie with it at a lower id. A held-out product outside
+    the pool or inside its own context ranks inf. A NaN score is an `EvalError`:
+    it compares false with everything, so it would rank first.
+    """
+    nan_rows = np.flatnonzero(np.isnan(scores).any(axis=1))
+    if len(nan_rows):
+        raise EvalError(f"NaN score in row {nan_rows[0]} of a ranked block")
+    n, m = scores.shape
+    rows = np.arange(n)
+    case_of_slot = np.repeat(rows, np.diff(indptr))
+    target = scores[rows, held][:, None]
+    ahead = scores > target
+    ahead |= (scores == target) & (np.arange(m) < held[:, None])
+    ahead[case_of_slot, ctx_flat] = False  # each context leaves its own row only
+    if pool is not None:
+        ahead &= pool
+    ranks = 1.0 + np.count_nonzero(ahead, axis=1)
+    ranks[case_of_slot[ctx_flat == held[case_of_slot]]] = np.inf
+    if pool is not None:
+        ranks[~pool[held]] = np.inf
+    return ranks

@@ -22,7 +22,7 @@ from .corpus import (Basket, Catalog, TrainingExample, Vocabulary, basket_csr, e
                      leave_one_out)
 from .encoders import (CnnParams, MovParams, WordInputTable, backward_batch,
                        encode_batch, init_cnn, init_mov)
-from .evaluation import rank_in_pool
+from .evaluation import ContextScorer, rank_cases
 from .kernels import scatter_rows
 
 MODEL_MAGIC = b"BSTX"
@@ -56,8 +56,8 @@ class ModelConfig:
     validation_sample: int = 2000  # test cases sampled for per-epoch Recall@20
 
     def __post_init__(self):
-        if self.k < 1 or self.negatives < 1 or self.batch_size < 1:
-            raise ModelError("k, negatives, and batch_size must all be >= 1")
+        if self.k < 1 or self.negatives < 1 or self.batch_size < 1 or self.epochs < 1:
+            raise ModelError("k, negatives, batch_size and epochs must all be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ModelError("dropout must lie in [0, 1)")
         if self.encoder not in ("mov", "cnn"):
@@ -141,7 +141,7 @@ def basket_vector(context_ids: np.ndarray, context_matrix: np.ndarray) -> np.nda
     return context_matrix[context_ids].mean(axis=0)
 
 
-class BastextScorer:
+class BastextScorer(ContextScorer):
     """Evaluator-facing scorer over materialized product vectors."""
 
     def __init__(self, vectors: ProductVectors, bias: float = 0.0):
@@ -152,9 +152,17 @@ class BastextScorer:
     def num_products(self) -> int:
         return self.vectors.embedding.shape[0]
 
-    def score_all(self, context_ids: np.ndarray) -> np.ndarray:
-        hbar = basket_vector(context_ids, self.vectors.context)
-        return expit(self.vectors.embedding @ hbar + self.bias)
+    def logits(self, indptr, ctx_flat, case_ids=None) -> np.ndarray:
+        """(cases x M) logits `E @ basket_vector(ctx_i)`, one matrix-vector product per case.
+
+        One product per row keeps every row bitwise equal to the one-case call;
+        a matrix-matrix product sums in another order and can flip exact ties.
+        """
+        return np.stack([self.vectors.embedding @ basket_vector(ctx, self.vectors.context)
+                         for ctx in np.split(ctx_flat, indptr[1:-1])])
+
+    def score_cases(self, indptr, ctx_flat, case_ids) -> np.ndarray:
+        return expit(self.logits(indptr, ctx_flat) + self.bias)
 
 
 # ---------------------------------------------------------------------------
@@ -289,21 +297,17 @@ def _validation_cases(validation: list[Basket], sample: int, seed: int):
     if len(pos) > sample:
         pos = np.sort(rng.choice(len(pos), size=sample, replace=False))
     held, ctx_flat, ctx_lens, _ = leave_one_out(indptr, indices, pos)
-    return list(zip(np.split(ctx_flat, np.cumsum(ctx_lens)[:-1]), held))
+    return held, np.concatenate([[0], np.cumsum(ctx_lens)]), ctx_flat
 
 
 def _validation_recall(state: ModelState, catalog: Catalog, cases, n: int = 20) -> float:
-    if not cases:
+    """Recall@n of the raw logits over `cases` = (held, indptr, ctx_flat)."""
+    held, indptr, ctx_flat = cases
+    if not len(held):
         return float("nan")
-    vectors = materialize_product_vectors(state, catalog)
-    pool = np.ones(len(catalog), dtype=bool)
-    hits = 0
-    for ctx, held in cases:
-        s = vectors.embedding @ basket_vector(ctx, vectors.context)
-        pool[ctx] = False
-        hits += rank_in_pool(s, pool, held) <= n
-        pool[ctx] = True
-    return hits / len(cases)
+    scorer = BastextScorer(materialize_product_vectors(state, catalog))
+    ranks = rank_cases(scorer.logits, len(catalog), held, indptr, ctx_flat)
+    return int(np.count_nonzero(ranks <= n)) / len(held)
 
 
 def _clone_params(params):
@@ -457,6 +461,8 @@ def _decode_model(data: bytes, hlen: int, path) -> ModelState:
             raise ModelError(f"{path}: truncated tensor {spec['name']!r}")
         tensors[spec["name"]] = np.frombuffer(
             data[offset:end], dtype="<f4").reshape(shape).copy()
+        if not np.isfinite(tensors[spec["name"]]).all():
+            raise ModelError(f"{path}: non-finite values in tensor '{spec['name']}'")
         offset = end
     if offset != len(data):
         raise ModelError(f"{path}: {len(data) - offset} trailing bytes after the last tensor")

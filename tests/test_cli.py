@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bastext
-from bastext import cli, corpus
+from bastext import cli, corpus, model
 from bastext.synthetic import make_planted_corpus
 
 
@@ -24,6 +26,16 @@ def raw_corpus(tmp_path_factory):
 
 def _run(argv):
     return cli.main([str(a) for a in argv])
+
+
+def _model_bytes_with_nan_row() -> bytes:
+    """A well-formed model file whose context tower's first row `C/W[0]` is NaN."""
+    vocab = corpus.Vocabulary({"tea": 0}, np.array([1]), 1)
+    state = model.init_model(model.ModelConfig(k=4, epochs=1), vocab)
+    state.params_c.W[0] = np.nan
+    with tempfile.TemporaryDirectory() as d:
+        model.save_model(state, Path(d) / "model.bin")
+        return (Path(d) / "model.bin").read_bytes()
 
 
 def _pipeline(out: Path, raw, epochs=3):
@@ -222,7 +234,8 @@ def test_malformed_input_reports_error(tmp_path, capsys):
     ["evaluate", "--ns", "10,x"],
     ["evaluate", "--method", "pop", "--ns", "10,0"],
     ["similar", "p0", "--top-n", "-1"],
-], ids=["cold-fraction", "ratios", "ns", "ns-zero", "top-n"])
+    ["train", "--epochs", "0"],
+], ids=["cold-fraction", "ratios", "ns", "ns-zero", "top-n", "epochs-zero"])
 def test_bad_flag_value_exits_1_without_traceback(tmp_path, raw_corpus, capsys, argv):
     _assert_cli_error_exit(tmp_path, raw_corpus, capsys, argv)
 
@@ -248,8 +261,12 @@ def test_missing_file_exits_1_without_traceback(tmp_path, raw_corpus, capsys, ar
      "warm.manifest:2: split seed must be an integer, got 'abc'"),
     (["evaluate", "--method", "external", "--scores", "scores.tsv"],
      {"scores.tsv": b"0\t1:0.5\xff\n"}, "scores.tsv:1: invalid UTF-8"),
+    (["evaluate", "--method", "bastext"], {"run/models/model.bin": _model_bytes_with_nan_row()},
+     "model.bin: non-finite values in tensor 'C/W'"),
+    (["next", "p0", "p1"], {"run/models/model.bin": _model_bytes_with_nan_row()},
+     "model.bin: non-finite values in tensor 'C/W'"),
 ], ids=["catalog-utf8", "baskets-utf8", "query-catalog-utf8", "ingest-directory",
-        "manifest-seed", "scores-utf8"])
+        "manifest-seed", "scores-utf8", "evaluate-nan-model", "next-nan-model"])
 def test_bad_input_file_exits_1_without_traceback(tmp_path, raw_corpus, capsys, argv, files,
                                                   expect):
     _assert_cli_error_exit(tmp_path, raw_corpus, capsys, argv, files, expect)
@@ -264,6 +281,7 @@ def _assert_cli_error_exit(tmp_path, raw_corpus, capsys, argv, files=None, expec
     assert _run(["split", "--out", out]) == 0
     capsys.readouterr()
     for rel, data in (files or {}).items():
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / rel).write_bytes(data)
     env = dict(os.environ, PYTHONPATH=str(Path(bastext.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "bastext.cli", *argv, "--out", str(out)],

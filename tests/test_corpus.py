@@ -254,6 +254,21 @@ def test_split_manifest_round_trip(tmp_path_factory, num_products, num_baskets, 
                 assert x.product_ids.dtype == y.product_ids.dtype
 
 
+@pytest.mark.parametrize("part", ["train", "test"], ids=["same-part", "two-parts"])
+def test_manifest_basket_listed_twice_fatal(tmp_path, part):
+    """A basket named twice would be trained or evaluated on twice."""
+    cat, baskets = make_random_corpus(30, 200, seed=0)
+    sp = split_warm(baskets, seed=0)
+    path = tmp_path / "warm.manifest"
+    save_split_manifest(sp, cat, path)
+    lines = path.read_text().splitlines()
+    dup = sp.train[0].source_id
+    path.write_text("\n".join(lines + [f"{part}\t{dup}"]) + "\n")
+    with pytest.raises(CorpusError, match=f"warm.manifest:{len(lines) + 1}: basket "
+                                          f"'{dup}' listed twice"):
+        load_split_manifest(path, cat, baskets)
+
+
 # ---------------------------------------------------------------------------
 # Example formation and negative sampling
 # ---------------------------------------------------------------------------

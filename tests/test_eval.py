@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from bastext.baselines import PopModel
+from bastext import evaluation
+from bastext.baselines import ItemKnnModel, PopModel, Prod2vecConfig, Prod2vecModel
 from bastext.corpus import Basket, DatasetSplit, split_warm
-from bastext.evaluation import (EvalError, ExternalScorer, TestCase, compute_ranks,
-                                evaluate, form_test_cases, mrr_at_n, order_pool,
-                                rank_candidates, rank_in_pool, recall_at_n)
+from bastext.evaluation import (ContextScorer, EvalError, ExternalScorer, TestCase,
+                                compute_ranks, evaluate, form_test_cases, mrr_at_n, order_pool,
+                                rank_candidates, recall_at_n)
+from bastext.kernels import rank_block
+from bastext.model import BastextScorer, ProductVectors
 from bastext.synthetic import make_random_corpus
 
 
@@ -13,28 +16,62 @@ def _b(ids, s):
     return Basket(np.array(sorted(ids), dtype=np.int64), s)
 
 
-class FixedScorer:
-    """score_all returns a fixed vector regardless of context."""
+class FixedScorer(ContextScorer):
+    """Every case scores the same fixed vector, regardless of context."""
 
     def __init__(self, scores):
         self.scores = np.asarray(scores, dtype=np.float64)
         self.num_products = len(self.scores)
 
-    def score_all(self, context_ids):
-        return self.scores
+    def score_cases(self, indptr, ctx_flat, case_ids):
+        return np.broadcast_to(self.scores, (len(case_ids), self.num_products))
 
 
-class PerfectScorer:
-    """Scores 1 for a designated id per call sequence, 0 otherwise."""
+class PerfectScorer(ContextScorer):
+    """Scores 1 for the held-out id of the case with this context, 0 otherwise."""
 
     def __init__(self, cases, num_products):
         self.cases = {tuple(c.context_ids.tolist()): c.held_out_id for c in cases}
         self.num_products = num_products
 
-    def score_all(self, context_ids):
-        out = np.zeros(self.num_products)
-        out[self.cases[tuple(np.asarray(context_ids).tolist())]] = 1.0
+    def score_cases(self, indptr, ctx_flat, case_ids):
+        out = np.zeros((len(case_ids), self.num_products))
+        for row, ctx in zip(out, np.split(ctx_flat, indptr[1:-1])):
+            row[self.cases[tuple(ctx.tolist())]] = 1.0
         return out
+
+
+class TableScorer:
+    """Case i scores row i of a fixed table, looked up by case index like an external file."""
+
+    def __init__(self, table):
+        self.table = table
+        self.num_products = table.shape[1]
+
+    def score_cases(self, indptr, ctx_flat, case_ids):
+        return self.table[case_ids]
+
+
+def _oracle_ranks(rows, cases, pool_ids=None):
+    """The rule of the benchmark's check: a stable argsort of each case's negated scores,
+    read over the pool minus the case's context; inf when the held-out product is not there."""
+    ranks = []
+    for scores, case in zip(rows, cases):
+        order = np.argsort(-scores, kind="stable")
+        in_pool = np.ones(len(scores), dtype=bool)
+        if pool_ids is not None:
+            in_pool[:] = False
+            in_pool[list(pool_ids)] = True
+        in_pool[case.context_ids] = False
+        pos = np.flatnonzero(order[in_pool[order]] == case.held_out_id)
+        ranks.append(pos[0] + 1 if len(pos) else np.inf)
+    return np.array(ranks)
+
+
+def _rank(scores, pool, held):
+    """`rank_block` of one case with an empty context."""
+    return rank_block(np.asarray(scores)[None], np.array([held]), np.array([0, 0]),
+                      np.zeros(0, dtype=np.int64), pool)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +248,7 @@ def test_external_scorer_unlisted_products_rank_last(tmp_path):
     f = tmp_path / "scores.tsv"
     f.write_text("0\t1:0.1\n")
     scorer = ExternalScorer.load(f, 4)
-    scores = scorer.scores_for_case(0)
+    scores = scorer.score_cases(np.array([0, 0]), np.zeros(0, dtype=np.int64), np.array([0]))[0]
     assert scores[1] == 0.1
     assert np.all(np.isneginf(scores[[0, 2, 3]]))
 
@@ -252,17 +289,17 @@ def test_external_scorer_out_of_range_id_fatal(tmp_path, bad_id):
 # Ranking kernels
 # ---------------------------------------------------------------------------
 
-def test_rank_in_pool_ties_and_pool():
+def test_rank_block_ties_and_pool():
     scores = np.array([0.5, 0.9, 0.5, 0.5, 0.1])
     pool = np.array([True, True, False, True, True])
-    assert rank_in_pool(scores, pool, 1) == 1.0
-    assert rank_in_pool(scores, pool, 0) == 2.0
-    assert rank_in_pool(scores, pool, 3) == 3.0  # id 2 is tied but outside the pool
-    assert rank_in_pool(scores, pool, 4) == 4.0
-    assert rank_in_pool(scores, pool, 2) == np.inf
+    assert _rank(scores, pool, 1) == 1.0
+    assert _rank(scores, pool, 0) == 2.0
+    assert _rank(scores, pool, 3) == 3.0  # id 2 is tied but outside the pool
+    assert _rank(scores, pool, 4) == 4.0
+    assert _rank(scores, pool, 2) == np.inf
 
 
-def test_order_pool_matches_rank_in_pool():
+def test_order_pool_matches_rank_block():
     rng = np.random.default_rng(3)
     scores = rng.integers(0, 4, size=40).astype(np.float64)
     pool_ids = np.sort(rng.choice(40, size=25, replace=False))
@@ -271,7 +308,7 @@ def test_order_pool_matches_rank_in_pool():
     order = order_pool(scores, pool_ids)
     assert sorted(order) == list(pool_ids)
     for pos, pid in enumerate(order, 1):
-        assert rank_in_pool(scores, mask, pid) == pos
+        assert _rank(scores, mask, pid) == pos
 
 
 def test_compute_ranks_context_exclusion_is_per_case():
@@ -279,3 +316,103 @@ def test_compute_ranks_context_exclusion_is_per_case():
     cases = [TestCase(np.array([1]), 0, "a"), TestCase(np.array([0]), 1, "b")]
     ranks = compute_ranks(FixedScorer([0.2, 0.9, 0.5]), cases)
     assert list(ranks) == [2.0, 1.0]
+
+
+# ---------------------------------------------------------------------------
+# Block scoring and ranking
+# ---------------------------------------------------------------------------
+
+def _csr(cases):
+    lens = [len(c.context_ids) for c in cases]
+    return (np.concatenate([[0], np.cumsum(lens)]),
+            np.concatenate([c.context_ids for c in cases]), np.arange(len(cases)))
+
+
+def _random_cases(rng, n, m):
+    cases = []
+    for _ in range(n):
+        ids = rng.choice(m, size=rng.integers(2, 6), replace=False)
+        cases.append(TestCase(ids[1:], int(ids[0]), "s"))
+    return cases
+
+
+# BLOCK_ENTRIES values that give blocks of 1 case, of 3 cases and one block over every case
+BLOCK_SIZES = pytest.mark.parametrize("entries", [1, 3 * 30, 10 ** 6],
+                                      ids=["block-1", "block-3", "one-block"])
+
+
+@BLOCK_SIZES
+@pytest.mark.parametrize("pool", ["all", "test-products"])
+def test_compute_ranks_matches_stable_argsort_oracle(monkeypatch, entries, pool):
+    monkeypatch.setattr(evaluation, "BLOCK_ENTRIES", entries)
+    rng = np.random.default_rng(5)
+    table = rng.integers(0, 4, size=(40, 30)).astype(np.float64)  # four values: many ties
+    table[rng.random(table.shape) < 0.2] = -np.inf  # as an external file's unlisted products
+    cases = _random_cases(rng, 40, 30)
+    pool_ids = set(range(0, 30, 2)) if pool == "test-products" else None
+    ranks = compute_ranks(TableScorer(table), cases, pool, pool_ids)
+    assert np.array_equal(ranks, _oracle_ranks(table, cases, pool_ids))
+    if pool_ids is not None:  # held-out products both inside and outside the pool
+        assert np.isinf(ranks).any() and np.isfinite(ranks).any()
+
+
+def _scorers(train, m, cases):
+    rng = np.random.default_rng(7)
+    # small integer-valued vectors tie many logits exactly
+    emb = rng.integers(0, 2, size=(m, 4)).astype(np.float32)
+    ctx = rng.integers(0, 2, size=(m, 4)).astype(np.float32)
+    table = rng.integers(0, 3, size=(len(cases), m)).astype(np.float64)
+    external = ExternalScorer({i: (np.arange(0, m, 2), row[::2]) for i, row in enumerate(table)}, m)
+    return {
+        "pop": PopModel.fit(train, m),
+        "itemknn": ItemKnnModel.fit(train, m),
+        "itemknn-last": ItemKnnModel.fit(train, m, last_item_only=True),
+        "prod2vec": Prod2vecModel.fit(train, m, Prod2vecConfig(k=8, epochs=1)),
+        "bastext": BastextScorer(ProductVectors(emb, ctx, np.zeros(m, dtype=bool))),
+        "external": external,
+    }
+
+
+@pytest.mark.parametrize("method", ["pop", "itemknn", "itemknn-last", "prod2vec", "bastext",
+                                    "external"])
+@pytest.mark.parametrize("pool", ["all", "test-products"])
+def test_compute_ranks_every_scorer_matches_oracle(monkeypatch, method, pool):
+    monkeypatch.setattr(evaluation, "BLOCK_ENTRIES", 3 * 25)
+    _, baskets = make_random_corpus(25, 300, seed=0)
+    sp = split_warm(baskets, seed=0)
+    cases = form_test_cases(sp)
+    scorer = _scorers(sp.train, 25, cases)[method]
+    if method == "external":
+        rows = scorer.score_cases(*_csr(cases))
+    else:
+        rows = [scorer.score_all(c.context_ids) for c in cases]
+    pool_ids = set(range(0, 25, 3)) if pool == "test-products" else None
+    ranks = compute_ranks(scorer, cases, pool, pool_ids)
+    assert np.array_equal(ranks, _oracle_ranks(rows, cases, pool_ids))
+
+
+@pytest.mark.parametrize("method", ["pop", "itemknn", "itemknn-last", "bastext"])
+def test_score_all_is_bitwise_the_block_row(method):
+    _, baskets = make_random_corpus(25, 300, seed=2)
+    sp = split_warm(baskets, seed=0)
+    cases = form_test_cases(sp)
+    scorer = _scorers(sp.train, 25, cases)[method]
+    block = scorer.score_cases(*_csr(cases))
+    assert block.shape == (len(cases), 25)
+    for row, case in zip(block, cases):
+        one = scorer.score_all(case.context_ids)
+        assert one.dtype == row.dtype and one.tobytes() == row.tobytes()
+
+
+def test_nan_score_fails_ranking():
+    """A NaN compares false with everything, so a NaN held-out score would rank first."""
+    cases = [TestCase(np.array([0]), 1, "a")]
+    with pytest.raises(EvalError, match="NaN score"):
+        compute_ranks(FixedScorer([0.2, np.nan, 0.5]), cases)
+    with pytest.raises(EvalError, match="NaN score"):
+        compute_ranks(FixedScorer([0.2, 0.1, np.nan]), cases)
+
+
+def test_held_out_inside_its_own_context_ranks_inf():
+    cases = [TestCase(np.array([0, 2]), 2, "a"), TestCase(np.array([0]), 2, "b")]
+    assert list(compute_ranks(FixedScorer([0.2, 0.9, 0.5]), cases)) == [np.inf, 2.0]
