@@ -16,7 +16,7 @@ from scipy.special import expit
 
 from .corpus import Basket, basket_csr, leave_one_out
 from .evaluation import ContextScorer, order_pool
-from .kernels import cosine_to_all, scatter_rows
+from .kernels import cosine_to_all, scatter_rows, segment_mean
 
 
 class PopModel(ContextScorer):
@@ -158,5 +158,5 @@ class Prod2vecModel(ContextScorer):
 
     def score_cases(self, indptr, ctx_flat, case_ids) -> np.ndarray:
         """Cosine between each case's mean context in-vector and every product's in-vector."""
-        return np.stack([cosine_to_all(self.in_vecs[ctx].mean(axis=0), self.in_vecs)
-                         for ctx in np.split(ctx_flat, indptr[1:-1])])
+        means = segment_mean(self.in_vecs[ctx_flat], indptr)
+        return np.stack([cosine_to_all(mean, self.in_vecs) for mean in means])

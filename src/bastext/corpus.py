@@ -1,4 +1,4 @@
-"""Corpus ingestion, vocabulary building, dataset splitting, and training-example formation.
+"""Corpus ingestion, vocabulary building, dataset splitting, and leave-one-out cases.
 
 Raw transaction data (OnlineRetail-style CSV, Instacart relational CSVs, or the
 canonical tab/space-separated text formats) is normalized into a `Catalog` of
@@ -101,13 +101,6 @@ class Vocabulary:
         for w, i in self.word_to_index.items():
             out[i] = w
         return out
-
-
-@dataclass
-class TrainingExample:
-    context_ids: np.ndarray
-    candidate_id: int
-    label: int  # +1 or -1
 
 
 @dataclass
@@ -521,7 +514,7 @@ def load_split_manifest(path, catalog: Catalog, baskets: list[Basket]) -> Datase
 
 
 # ---------------------------------------------------------------------------
-# Training examples
+# Baskets as CSR arrays and leave-one-out cases
 # ---------------------------------------------------------------------------
 
 def basket_csr(baskets: list[Basket]) -> tuple[np.ndarray, np.ndarray]:
@@ -546,31 +539,3 @@ def leave_one_out(indptr: np.ndarray, indices: np.ndarray, pos: np.ndarray):
     slot = np.arange(int(ctx_lens.sum())) - np.repeat(np.cumsum(ctx_lens) - ctx_lens, ctx_lens)
     src = starts[case] + slot + (slot >= (pos - starts)[case])
     return indices[pos], indices[src], ctx_lens, rows
-
-
-def form_positive_examples(basket: Basket) -> list[TrainingExample]:
-    """Leave-one-out positives: one example per product in the basket."""
-    if len(basket) < 2:
-        raise CorpusError("positive examples need baskets of size >= 2")
-    indptr, indices = basket_csr([basket])
-    held, ctx_flat, ctx_lens, _ = leave_one_out(indptr, indices, np.arange(len(basket)))
-    return [TrainingExample(c, int(h), +1)
-            for h, c in zip(held, np.split(ctx_flat, np.cumsum(ctx_lens)[:-1]))]
-
-
-def sample_negatives(positive: TrainingExample, n: int, num_products: int,
-                     rng: np.random.Generator) -> list[TrainingExample]:
-    """Draw n uniform negatives sharing the positive's context.
-
-    Candidates are uniform over products outside context ∪ {positive candidate},
-    sampled independently with replacement across the n draws, by the trainer's sampler.
-    """
-    from .model import _sample_negative_matrix
-
-    if n < 1:
-        raise ValueError("negative ratio must be >= 1")
-    excluded = np.unique(np.append(positive.context_ids, positive.candidate_id))
-    if num_products <= len(excluded):
-        raise ValueError("no eligible negative candidates exist")
-    draws = _sample_negative_matrix(np.zeros(1, dtype=np.int64), excluded, n, num_products, rng)
-    return [TrainingExample(positive.context_ids, int(j), -1) for j in draws[0]]

@@ -50,18 +50,21 @@ def load_pretrained_vectors(path, vocab: Vocabulary) -> tuple[WordInputTable, fl
     """Read a text word-vector file (`word v1 ... vd` per line) against a vocabulary.
 
     Returns the table plus the fraction of vocabulary words matched; unmatched
-    words keep the zero vector.
+    words keep the zero vector. Lines are decoded one at a time; invalid UTF-8, or a
+    bad component on a vocabulary word's line, is an `EncoderError` naming the line.
     """
-    dim = None
-    vectors = None
+    dim = vectors = None
     matched = 0
     try:
-        fh = Path(path).open(encoding="utf-8", errors="replace")
+        fh = Path(path).open("rb")
     except OSError as exc:
         raise EncoderError(f"{path}: cannot read pretrained vectors: {exc.strerror}") from exc
     with fh:
         for lineno, line in enumerate(fh, 1):
-            parts = line.rstrip("\n").split()
+            try:
+                parts = line.decode("utf-8").split()
+            except UnicodeDecodeError:
+                raise EncoderError(f"{path}:{lineno}: invalid UTF-8") from None
             if not parts:
                 continue
             word, vals = parts[0], parts[1:]
@@ -75,7 +78,13 @@ def load_pretrained_vectors(path, vocab: Vocabulary) -> tuple[WordInputTable, fl
                     f"{path}:{lineno}: dimensionality {len(vals)} != {dim} of earlier lines")
             idx = vocab.word_to_index.get(word)
             if idx is not None:
-                vectors[idx] = np.array(vals, dtype=np.float32)
+                try:
+                    with np.errstate(over="ignore"):  # overflow reads inf, refused below
+                        vectors[idx] = np.array(vals, dtype=np.float32)
+                except ValueError:
+                    raise EncoderError(f"{path}:{lineno}: non-numeric vector component") from None
+                if not np.isfinite(vectors[idx]).all():
+                    raise EncoderError(f"{path}:{lineno}: non-finite vector component")
                 matched += 1
     if dim is None or matched == 0:
         raise EncoderError(f"no vocabulary words matched in {path}")

@@ -194,6 +194,8 @@ class ExternalScorer:
                 raise EvalError(f"{path}:{lineno}: NaN score")
             if ((ids < 0) | (ids >= num_products)).any():
                 raise EvalError(f"{path}:{lineno}: product id out of range")
+            if idx in per_case:
+                raise EvalError(f"{path}:{lineno}: case {idx} listed twice")
             per_case[idx] = (ids, vals)
         return cls(per_case, num_products)
 

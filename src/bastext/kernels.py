@@ -4,8 +4,13 @@
 CNN backward pass and the SGNS baseline all sum gradient rows into parameter
 rows through it. `cosine_to_all` is the one cosine against a table: the
 `similar` and `search` queries and the prod2vec scorer rank products by it.
-`rank_block` is the one ranking rule: evaluation and per-epoch validation
-rank every held-out product through it, a block of cases at a time.
+`segment_mean` is the one mean of a case's context vectors: the loss and the
+bastext and prod2vec scorers take it once per block. `rank_block` is the one
+ranking rule: evaluation and per-epoch validation rank every held-out product
+through it, a block of cases at a time. A block is scored by one
+matrix-vector product per case (`np.matmul` over a stack of vectors), not by
+a GEMM, which sums in another order: its rows could differ from the one-case
+call in the last bit and flip an exact tie.
 """
 
 from __future__ import annotations
@@ -33,6 +38,21 @@ def scatter_rows(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
         shape=(n, len(index)))
     out = indicator @ values.reshape(len(index), int(np.prod(values.shape[1:])))
     return out.reshape((n,) + values.shape[1:])
+
+
+def segment_mean(rows: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Row i is the mean of `rows[indptr[i]:indptr[i + 1]]`; `indptr` runs from 0 to len(rows).
+
+    Sums in `np.add.reduceat` order, the loss's order, which is not `np.mean`'s row order
+    (a row may differ from `np.mean` in the last bit), and divides by the length cast to
+    `rows.dtype`. Every row is bitwise its one-segment call. An empty segment is a
+    `ValueError`: reduceat would return the next row instead of a mean.
+    """
+    lens = np.diff(indptr)
+    if indptr[0] != 0 or indptr[-1] != len(rows) or (lens < 1).any():
+        raise ValueError("segment_mean needs non-empty segments from 0 to len(rows)")
+    sums = np.add.reduceat(rows, indptr[:-1], axis=0)
+    return sums / lens.astype(rows.dtype).reshape((-1,) + (1,) * (rows.ndim - 1))
 
 
 def cosine_to_all(vec: np.ndarray, matrix: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ uniform negatives resampled fresh at every mini-batch, optimized with Adam.
 
 from __future__ import annotations
 
+import copy
 import json
 import struct
 import time
@@ -18,12 +19,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import expit
 
-from .corpus import (Basket, Catalog, TrainingExample, Vocabulary, basket_csr, encode_catalog,
-                     leave_one_out)
+from .corpus import Basket, Catalog, Vocabulary, basket_csr, encode_catalog, leave_one_out
 from .encoders import (CnnParams, MovParams, WordInputTable, backward_batch,
                        encode_batch, init_cnn, init_mov)
 from .evaluation import ContextScorer, rank_cases
-from .kernels import scatter_rows
+from .kernels import scatter_rows, segment_mean
 
 MODEL_MAGIC = b"BSTX"
 MODEL_VERSION = 1
@@ -60,6 +60,8 @@ class ModelConfig:
             raise ModelError("k, negatives, batch_size and epochs must all be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ModelError("dropout must lie in [0, 1)")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ModelError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.encoder not in ("mov", "cnn"):
             raise ModelError(f"unknown encoder kind {self.encoder!r}")
         self.cnn_widths = tuple(self.cnn_widths)
@@ -118,7 +120,7 @@ def init_model(config: ModelConfig, vocab: Vocabulary, table: WordInputTable | N
         return init_cnn(d, config.k, config.cnn_widths, config.cnn_filters, r, dtype)
 
     params_e = make(rng)
-    params_c = make(rng) if not config.tied_init else _clone_params(params_e)
+    params_c = make(rng) if not config.tied_init else copy.deepcopy(params_e)
     state = ModelState(config, vocab, table, params_e, params_c,
                        np.zeros(1, dtype=dtype), {}, {}, 0, catalog_hash)
     if config.pretrained and config.finetune_pretrained:
@@ -133,14 +135,6 @@ def init_model(config: ModelConfig, vocab: Vocabulary, table: WordInputTable | N
 # Scoring
 # ---------------------------------------------------------------------------
 
-def basket_vector(context_ids: np.ndarray, context_matrix: np.ndarray) -> np.ndarray:
-    """Mean of the context vectors of the products in the basket."""
-    context_ids = np.asarray(context_ids)
-    if context_ids.size == 0:
-        raise ModelError("basket vector of an empty context")
-    return context_matrix[context_ids].mean(axis=0)
-
-
 class BastextScorer(ContextScorer):
     """Evaluator-facing scorer over materialized product vectors."""
 
@@ -153,13 +147,14 @@ class BastextScorer(ContextScorer):
         return self.vectors.embedding.shape[0]
 
     def logits(self, indptr, ctx_flat, case_ids=None) -> np.ndarray:
-        """(cases x M) logits `E @ basket_vector(ctx_i)`, one matrix-vector product per case.
+        """(cases x M) logits: row i is `E @ hbar_i`, hbar_i the mean context vector of case i.
 
-        One product per row keeps every row bitwise equal to the one-case call;
-        a matrix-matrix product sums in another order and can flip exact ties.
+        `np.matmul` over the stack of hbar columns takes one matrix-vector
+        product per case, so every row is bitwise the one-case call. A GEMM
+        (`hbar @ E.T`) sums in another order and can flip exact ties.
         """
-        return np.stack([self.vectors.embedding @ basket_vector(ctx, self.vectors.context)
-                         for ctx in np.split(ctx_flat, indptr[1:-1])])
+        hbar = segment_mean(self.vectors.context[ctx_flat], indptr)
+        return np.matmul(self.vectors.embedding, hbar[:, :, None])[:, :, 0]
 
     def score_cases(self, indptr, ctx_flat, case_ids) -> np.ndarray:
         return expit(self.logits(indptr, ctx_flat) + self.bias)
@@ -191,10 +186,7 @@ def _loss_arrays(state: ModelState, token_ids: list[np.ndarray],
     hc, cache_c = encode_batch(state.params_c, state.table, [token_ids[i] for i in uctx],
                                dropout_rate=drop, rng=rng)
 
-    ctx_rows = hc[ctx_inv]  # (total ctx tokens, K)
-    sums = np.add.reduceat(ctx_rows, np.cumsum(ctx_lens) - ctx_lens, axis=0)
-    lens = ctx_lens.astype(dtype)[:, None]  # an int64 divisor would promote to float64
-    hbar = sums / lens
+    hbar = segment_mean(hc[ctx_inv], np.concatenate([[0], np.cumsum(ctx_lens)]))
 
     h_cand = he[cand_inv]
     z = np.einsum("ek,ek->e", h_cand, hbar[ex_ctx])
@@ -208,8 +200,8 @@ def _loss_arrays(state: ModelState, token_ids: list[np.ndarray],
     g = (expit(z) - y) / len(z)
     d_he = scatter_rows(cand_inv, g[:, None] * hbar[ex_ctx], len(he))
     d_hbar = scatter_rows(ex_ctx, g[:, None] * h_cand, len(hbar))
-    ctx_of_row = np.repeat(np.arange(len(ctx_lens)), ctx_lens)
-    d_hc = scatter_rows(ctx_inv, (d_hbar / lens)[ctx_of_row], len(hc))
+    lens = ctx_lens.astype(dtype)[:, None]  # an int64 divisor would promote to float64
+    d_hc = scatter_rows(ctx_inv, np.repeat(d_hbar / lens, ctx_lens, axis=0), len(hc))
 
     ge = backward_batch(state.params_e, cache_e, d_he, want_input_grads=want_input)
     gc = backward_batch(state.params_c, cache_c, d_hc, want_input_grads=want_input)
@@ -220,23 +212,6 @@ def _loss_arrays(state: ModelState, token_ids: list[np.ndarray],
     if want_input:
         grads["table"] = ge.get("input", 0) + gc.get("input", 0)
     return loss, grads
-
-
-def batch_loss(batch: list[TrainingExample], state: ModelState, token_ids: list[np.ndarray],
-               training: bool = False, rng: np.random.Generator | None = None):
-    """Mean binary cross-entropy over a batch plus gradients for every parameter."""
-    if not batch:
-        raise ModelError("empty batch")
-    for ex in batch:
-        if len(ex.context_ids) == 0:
-            raise ModelError("training example with empty context")
-    cand_ids = np.array([ex.candidate_id for ex in batch], dtype=np.int64)
-    ctx_lens = np.array([len(ex.context_ids) for ex in batch], dtype=np.int64)
-    ctx_flat = np.concatenate([ex.context_ids for ex in batch])
-    labels = np.array([ex.label for ex in batch], dtype=np.int64)
-    ex_ctx = np.arange(len(batch))
-    return _loss_arrays(state, token_ids, cand_ids, ex_ctx, ctx_flat, ctx_lens, labels,
-                        training, rng)
 
 
 def adam_step(state: ModelState, grads: dict[str, np.ndarray]) -> None:
@@ -310,14 +285,6 @@ def _validation_recall(state: ModelState, catalog: Catalog, cases, n: int = 20) 
     return int(np.count_nonzero(ranks <= n)) / len(held)
 
 
-def _clone_params(params):
-    if isinstance(params, MovParams):
-        return MovParams(params.W.copy())
-    return CnnParams(params.widths, {w: f.copy() for w, f in params.filters.items()},
-                     {w: b.copy() for w, b in params.biases.items()},
-                     params.proj.copy(), params.proj_bias.copy())
-
-
 def train(config: ModelConfig, train_baskets: list[Basket], validation_baskets: list[Basket],
           catalog: Catalog, vocab: Vocabulary, table: WordInputTable | None = None,
           log=None) -> tuple[ModelState, list[str]]:
@@ -380,8 +347,7 @@ def train(config: ModelConfig, train_baskets: list[Basket], validation_baskets: 
             log(line)
         score_now = recall if np.isfinite(recall) else -mean_loss
         if score_now > best[0]:
-            best = (score_now, (_clone_params(state.params_e), _clone_params(state.params_c),
-                                state.bias.copy()))
+            best = (score_now, copy.deepcopy((state.params_e, state.params_c, state.bias)))
             stale = 0
         else:
             stale += 1

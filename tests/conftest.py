@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from bastext.corpus import Basket, Catalog, build_vocabulary, encode_catalog
+from bastext.corpus import (Basket, Catalog, basket_csr, build_vocabulary, encode_catalog,
+                            leave_one_out)
+from bastext.model import _sample_negative_matrix
 
 
 @pytest.fixture
@@ -31,6 +33,25 @@ def tiny_vocab(tiny_catalog):
 @pytest.fixture
 def tiny_tokens(tiny_catalog, tiny_vocab):
     return encode_catalog(tiny_catalog, tiny_vocab)
+
+
+@pytest.fixture
+def loss_batch():
+    """`build(baskets, n_neg, num_products, rng)` -> the arguments 3-7 of `_loss_arrays` for a
+    batch that holds out each basket's first member, assembled as `train` assembles them:
+    `leave_one_out` positives, then `_sample_negative_matrix` negatives sharing their context."""
+    def build(baskets, n_neg, num_products, rng):
+        indptr, indices = basket_csr(baskets)
+        keys = np.sort(np.repeat(np.arange(len(baskets)), np.diff(indptr)) * num_products
+                       + indices)
+        cands, ctx_flat, ctx_lens, rows = leave_one_out(indptr, indices, indptr[:-1])
+        negs = _sample_negative_matrix(rows, keys, n_neg, num_products, rng)
+        b = len(cands)
+        return (np.concatenate([cands, negs.ravel()]),
+                np.concatenate([np.arange(b), np.repeat(np.arange(b), n_neg)]),
+                ctx_flat, ctx_lens,
+                np.concatenate([np.ones(b, dtype=np.int64), -np.ones(b * n_neg, dtype=np.int64)]))
+    return build
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -26,13 +26,12 @@ import pytest
 import bastext.model as M
 from bastext import cli
 from bastext.baselines import ItemKnnModel, PopModel, Prod2vecModel, Prod2vecConfig
-from bastext.corpus import (Basket, build_vocabulary, encode_catalog,
-                            form_positive_examples, import_dataset, sample_negatives,
-                            split_cold, split_warm, write_canonical)
+from bastext.corpus import (Basket, build_vocabulary, import_dataset, split_cold, split_warm,
+                            write_canonical)
 from bastext.encoders import WordInputTable
 from bastext.evaluation import (evaluate, form_test_cases, mrr_at_n, rank_candidates,
                                 recall_at_n)
-from bastext.model import BastextScorer, ModelConfig, batch_loss, init_model
+from bastext.model import BastextScorer, ModelConfig, init_model
 from bastext.synthetic import make_planted_corpus, make_random_corpus
 
 DATA_DIR = Path(os.environ.get("BASTEXT_DATA", Path(__file__).resolve().parents[1] / "data"))
@@ -99,7 +98,7 @@ def _train_recall20(catalog, baskets, vocab, split, *, negatives=8, epochs=20,
 # 1. Gradient correctness
 # ---------------------------------------------------------------------------
 
-def test_criterion_1_gradients():
+def test_criterion_1_gradients(loss_batch):
     k, vocab_words, dim, filters = 8, 20, 5, 4
     rng = np.random.default_rng(11)
     table = WordInputTable.pretrained(rng.normal(0, 0.5, size=(vocab_words, dim)))
@@ -125,22 +124,19 @@ def test_criterion_1_gradients():
                     prm.biases[w][:] = rng.normal(0, 0.3, size=prm.biases[w].shape)
                 prm.proj_bias[:] = rng.normal(0, 0.3, size=prm.proj_bias.shape)
         for trial in range(10):
-            batch = []
-            for _ in range(3):
-                members = np.sort(rng.choice(12, size=3, replace=False))
-                pos = form_positive_examples(Basket(members, "s"))[0]
-                batch.append(pos)
-                batch.extend(sample_negatives(pos, 2, 12, rng))
-            _, grads = batch_loss(batch, state, token_lists)
+            baskets = [Basket(np.sort(rng.choice(12, size=3, replace=False)), "s")
+                       for _ in range(3)]
+            batch = loss_batch(baskets, 2, 12, rng)
+            _, grads = M._loss_arrays(state, token_lists, *batch, False, None)
             eps = 1e-4
             for name, p in state.named_params().items():
                 flat = p.ravel()
                 for idx in rng.choice(flat.size, size=min(4, flat.size), replace=False):
                     orig = flat[idx]
                     flat[idx] = orig + eps
-                    lp, _ = batch_loss(batch, state, token_lists)
+                    lp, _ = M._loss_arrays(state, token_lists, *batch, False, None)
                     flat[idx] = orig - eps
-                    lm, _ = batch_loss(batch, state, token_lists)
+                    lm, _ = M._loss_arrays(state, token_lists, *batch, False, None)
                     flat[idx] = orig
                     num = (lp - lm) / (2 * eps)
                     ana = grads[name].ravel()[idx]

@@ -11,6 +11,7 @@ on a corpus this small, fixed costs outside the traced layers dominate.
 """
 
 import importlib.util
+import inspect
 import json
 import math
 import time
@@ -25,6 +26,8 @@ from bastext.synthetic import make_planted_corpus
 ROOT = Path(__file__).resolve().parents[1]
 # Per-layer metrics that the workload process adds beside `layer_metrics`'s.
 NOT_FROM_SPANS = ("trace.overhead_share", ".peak_traced_mb")
+# The wrapped functions' arguments that the tracer's work counters read, by position.
+COUNTED = {"token_ids", "cand_ids", "ctx_flat", "basket_rows", "num_products"}
 
 
 def _bench_tracer():
@@ -32,6 +35,30 @@ def _bench_tracer():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _positional(fn):
+    return [p for p in inspect.signature(fn).parameters.values()
+            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+
+
+def test_counters_read_the_arguments_they_name():
+    """A counter that reads the wrong argument counts the wrong work without raising, and
+    a counter without `*args` raises on a call with another number of arguments."""
+    seen = set()
+    for name, counter in _bench_tracer().COUNTERS.items():
+        module, _, attr = name.partition(".")
+        target = _positional(getattr(getattr(bastext, module), attr))
+        counted = _positional(counter)
+        takes_args = any(p.kind is p.VAR_POSITIONAL
+                         for p in inspect.signature(counter).parameters.values())
+        if not takes_args:
+            assert len(counted) == len(target), name
+        for at, param in enumerate(counted):
+            if param.name in COUNTED:
+                assert at < len(target) and target[at].name == param.name, (name, param.name)
+                seen.add(param.name)
+    assert seen == COUNTED
 
 
 @pytest.mark.parametrize("encoder, cold", [("mov", False), ("cnn", True)],

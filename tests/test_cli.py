@@ -235,7 +235,8 @@ def test_malformed_input_reports_error(tmp_path, capsys):
     ["evaluate", "--method", "pop", "--ns", "10,0"],
     ["similar", "p0", "--top-n", "-1"],
     ["train", "--epochs", "0"],
-], ids=["cold-fraction", "ratios", "ns", "ns-zero", "top-n", "epochs-zero"])
+    ["train", "--epochs", "1", "--lr", "0"],
+], ids=["cold-fraction", "ratios", "ns", "ns-zero", "top-n", "epochs-zero", "lr-zero"])
 def test_bad_flag_value_exits_1_without_traceback(tmp_path, raw_corpus, capsys, argv):
     _assert_cli_error_exit(tmp_path, raw_corpus, capsys, argv)
 
@@ -265,8 +266,16 @@ def test_missing_file_exits_1_without_traceback(tmp_path, raw_corpus, capsys, ar
      "model.bin: non-finite values in tensor 'C/W'"),
     (["next", "p0", "p1"], {"run/models/model.bin": _model_bytes_with_nan_row()},
      "model.bin: non-finite values in tensor 'C/W'"),
+    (["train", "--epochs", "1", "--pretrained", "vectors.txt"],
+     {"vectors.txt": b"comm0 0.1 0.2\ncomm1 0.1 abc\n"}, "vectors.txt:2: non-numeric"),
+    (["train", "--epochs", "1", "--pretrained", "vectors.txt"],
+     {"vectors.txt": b"comm0 0.1 0.2\nitem0 nan 0.2\n"}, "vectors.txt:2: non-finite"),
+    (["train", "--epochs", "1", "--pretrained", "vectors.txt"],
+     {"vectors.txt": b"comm0 0.1 0.2\nunknown 0.3 0.4\ncomm\xff1 0.1 0.2\n"},
+     "vectors.txt:3: invalid UTF-8"),
 ], ids=["catalog-utf8", "baskets-utf8", "query-catalog-utf8", "ingest-directory",
-        "manifest-seed", "scores-utf8", "evaluate-nan-model", "next-nan-model"])
+        "manifest-seed", "scores-utf8", "evaluate-nan-model", "next-nan-model",
+        "pretrained-text-component", "pretrained-nan-component", "pretrained-utf8"])
 def test_bad_input_file_exits_1_without_traceback(tmp_path, raw_corpus, capsys, argv, files,
                                                   expect):
     _assert_cli_error_exit(tmp_path, raw_corpus, capsys, argv, files, expect)

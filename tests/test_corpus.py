@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bastext.corpus import (Basket, Catalog, CorpusError, basket_csr, build_vocabulary,
-                            form_positive_examples, import_dataset, leave_one_out,
-                            load_split_manifest, read_catalog, sample_negatives,
-                            save_split_manifest, split_cold, split_warm,
-                            tokenize, write_canonical)
+                            import_dataset, leave_one_out, load_split_manifest, read_catalog,
+                            save_split_manifest, split_cold, split_warm, tokenize,
+                            write_canonical)
+from bastext.model import _sample_negative_matrix
 from bastext.synthetic import make_random_corpus
 
 
@@ -270,28 +270,8 @@ def test_manifest_basket_listed_twice_fatal(tmp_path, part):
 
 
 # ---------------------------------------------------------------------------
-# Example formation and negative sampling
+# Leave-one-out cases
 # ---------------------------------------------------------------------------
-
-def test_form_positive_examples_basic():
-    basket = Basket(np.array([3, 5, 9]), "s")
-    exs = form_positive_examples(basket)
-    assert len(exs) == 3
-    assert [e.candidate_id for e in exs] == [3, 5, 9]
-    assert [sorted(e.context_ids.tolist()) for e in exs] == [[5, 9], [3, 9], [3, 5]]
-    assert all(e.label == +1 for e in exs)
-
-
-def test_form_positive_examples_size_two():
-    exs = form_positive_examples(Basket(np.array([1, 2]), "s"))
-    assert len(exs) == 2
-    assert all(len(e.context_ids) == 1 for e in exs)
-
-
-def test_form_positive_examples_rejects_singleton():
-    with pytest.raises(CorpusError):
-        form_positive_examples(Basket(np.array([1]), "s"))
-
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 30), min_size=1, max_size=6, unique=True),
@@ -322,29 +302,29 @@ def test_split_bad_ratios_and_cold_fraction_fatal(tiny_baskets):
             split_cold(tiny_baskets, test_product_fraction=fraction)
 
 
+# ---------------------------------------------------------------------------
+# Negative sampling (the trainer's sampler)
+# ---------------------------------------------------------------------------
+
+def _sample(members, n, num_products, rng):
+    """`n` negatives for a positive of the one basket `members`, as `train` draws them."""
+    keys = np.sort(np.asarray(members, dtype=np.int64))  # basket row 0: key = product id
+    return _sample_negative_matrix(np.zeros(1, dtype=np.int64), keys, n, num_products, rng)[0]
+
+
 def test_sample_negatives_forced_candidate():
-    pos = form_positive_examples(Basket(np.array([0, 1, 2]), "s"))[2]  # candidate 2
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        sample_negatives(pos, 4, 3, rng)  # M=3: every product excluded
-    negs = sample_negatives(pos, 4, 4, rng)
-    assert [e.candidate_id for e in negs] == [3, 3, 3, 3]
-    assert all(e.label == -1 for e in negs)
+    """With one product outside the basket, every draw is that product."""
+    assert _sample([0, 1, 2], 4, 4, np.random.default_rng(0)).tolist() == [3, 3, 3, 3]
 
 
 def test_sample_negatives_respects_exclusions():
-    pos = form_positive_examples(Basket(np.array([4, 7, 9]), "s"))[0]
-    rng = np.random.default_rng(1)
-    for e in sample_negatives(pos, 200, 12, rng):
-        assert e.candidate_id not in (4, 7, 9)
+    negs = _sample([4, 7, 9], 200, 12, np.random.default_rng(1))
+    assert not np.isin(negs, [4, 7, 9]).any()
 
 
 def test_sample_negatives_uniform():
-    pos = form_positive_examples(Basket(np.array([0, 1]), "s"))[1]  # ctx {0}, cand 1
     rng = np.random.default_rng(123)
-    draws = np.concatenate([
-        [e.candidate_id for e in sample_negatives(pos, 100, 10, rng)]
-        for _ in range(1000)])
+    draws = np.concatenate([_sample([0, 1], 100, 10, rng) for _ in range(1000)])
     freq = np.bincount(draws, minlength=10)[2:] / len(draws)
     assert np.all(np.abs(freq - 0.125) < 0.01)
 

@@ -342,6 +342,34 @@ def test_load_pretrained_vectors(tmp_path):
     assert np.array_equal(table.vectors[vocab.word_to_index["gamma"]], np.zeros(4))
 
 
+@pytest.mark.parametrize("line, expect", [
+    (b"beta 0 abc\n", "vecs.txt:2: non-numeric vector component"),
+    (b"beta inf 1\n", "vecs.txt:2: non-finite vector component"),
+    (b"beta 1e50 1\n", "vecs.txt:2: non-finite vector component"),  # overflows float32
+    (b"b\xe9ta 0 1\n", "vecs.txt:2: invalid UTF-8"),
+], ids=["text", "inf", "overflow", "utf8"])
+def test_load_pretrained_vectors_bad_line_fatal(tmp_path, line, expect):
+    cat = Catalog()
+    cat.add("x", "alpha beta")
+    vocab = build_vocabulary(cat)
+    f = tmp_path / "vecs.txt"
+    f.write_bytes(b"alpha 1 0\n" + line)
+    with pytest.raises(EncoderError, match=expect):
+        load_pretrained_vectors(f, vocab)
+
+
+def test_load_pretrained_vectors_checks_only_vocabulary_lines(tmp_path):
+    """Only a vocabulary word's line is parsed; other lines need only the right width."""
+    cat = Catalog()
+    cat.add("x", "alpha")
+    vocab = build_vocabulary(cat)
+    f = tmp_path / "vecs.txt"
+    f.write_text("other nan abc\nalpha 1 2\n")
+    table, coverage = load_pretrained_vectors(f, vocab)
+    assert coverage == 1.0
+    assert np.array_equal(table.vectors[vocab.word_to_index["alpha"]], [1.0, 2.0])
+
+
 def test_load_pretrained_vectors_dim_mismatch(tmp_path):
     cat = Catalog()
     cat.add("x", "alpha beta")

@@ -285,6 +285,13 @@ def test_external_scorer_out_of_range_id_fatal(tmp_path, bad_id):
         ExternalScorer.load(f, 4)
 
 
+def test_external_scorer_repeated_case_fatal(tmp_path):
+    f = tmp_path / "scores.tsv"
+    f.write_text("0\t1:0.5\n1\t2:0.9\n\n0\t3:0.7\n")
+    with pytest.raises(EvalError, match=r"scores.tsv:4: case 0 listed twice"):
+        ExternalScorer.load(f, 4)
+
+
 # ---------------------------------------------------------------------------
 # Ranking kernels
 # ---------------------------------------------------------------------------
@@ -363,12 +370,15 @@ def _scorers(train, m, cases):
     ctx = rng.integers(0, 2, size=(m, 4)).astype(np.float32)
     table = rng.integers(0, 3, size=(len(cases), m)).astype(np.float64)
     external = ExternalScorer({i: (np.arange(0, m, 2), row[::2]) for i, row in enumerate(table)}, m)
+    # non-integer vectors round every context sum, so a change of summation order shows
+    emb_f, ctx_f = rng.normal(size=(2, m, 16)).astype(np.float32)
     return {
         "pop": PopModel.fit(train, m),
         "itemknn": ItemKnnModel.fit(train, m),
         "itemknn-last": ItemKnnModel.fit(train, m, last_item_only=True),
         "prod2vec": Prod2vecModel.fit(train, m, Prod2vecConfig(k=8, epochs=1)),
         "bastext": BastextScorer(ProductVectors(emb, ctx, np.zeros(m, dtype=bool))),
+        "bastext-float": BastextScorer(ProductVectors(emb_f, ctx_f, np.zeros(m, dtype=bool))),
         "external": external,
     }
 
@@ -391,7 +401,8 @@ def test_compute_ranks_every_scorer_matches_oracle(monkeypatch, method, pool):
     assert np.array_equal(ranks, _oracle_ranks(rows, cases, pool_ids))
 
 
-@pytest.mark.parametrize("method", ["pop", "itemknn", "itemknn-last", "bastext"])
+@pytest.mark.parametrize("method", ["pop", "itemknn", "itemknn-last", "prod2vec", "bastext",
+                                    "bastext-float"])
 def test_score_all_is_bitwise_the_block_row(method):
     _, baskets = make_random_corpus(25, 300, seed=2)
     sp = split_warm(baskets, seed=0)

@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bastext.kernels import scatter_rows
+from bastext.kernels import scatter_rows, segment_mean
 
 
 @settings(max_examples=100, deadline=None)
@@ -27,3 +28,33 @@ def test_scatter_rows_matches_unbuffered_add(n, rows, width, dtype, data):
     np.testing.assert_allclose(out, expected, rtol=1e-5 if dtype == np.float32 else 1e-12,
                                atol=1e-5 if dtype == np.float32 else 1e-12)
     assert not out[np.setdiff1d(np.arange(n), index)].any()
+
+
+def test_segment_mean_singleton_and_mean():
+    rows = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    assert np.array_equal(segment_mean(rows, np.array([0, 1, 3])), [[0.0, 1.0], [0.5, 0.5]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(lens=st.lists(st.integers(1, 7), max_size=12), width=st.sampled_from([None, 1, 16]),
+       dtype=st.sampled_from([np.float32, np.float64]), data=st.data())
+def test_segment_mean_rows_are_their_own_segments(lens, width, dtype, data):
+    """Every block row is bitwise its one-segment call, and close to `np.mean`."""
+    indptr = np.concatenate([[0], np.cumsum(lens, dtype=np.int64)])
+    shape = (indptr[-1],) if width is None else (indptr[-1], width)
+    rows = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).normal(size=shape)
+    rows = rows.astype(dtype)
+
+    out = segment_mean(rows, indptr)
+
+    assert out.dtype == dtype
+    assert out.shape == (len(lens),) + shape[1:]
+    for i, (a, b) in enumerate(zip(indptr[:-1], indptr[1:])):
+        one = segment_mean(rows[a:b], np.array([0, b - a]))
+        assert one[0].tobytes() == out[i].tobytes()
+        np.testing.assert_allclose(out[i], rows[a:b].mean(axis=0),
+                                   rtol=1e-6 if dtype == np.float32 else 1e-14,
+                                   atol=1e-6 if dtype == np.float32 else 1e-14)
+    empty_at = data.draw(st.integers(0, len(lens)))
+    with pytest.raises(ValueError, match="non-empty segments"):
+        segment_mean(rows, np.insert(indptr, empty_at, indptr[empty_at]))

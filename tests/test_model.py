@@ -3,11 +3,10 @@ import pytest
 from scipy.special import expit
 
 import bastext.model as M
-from bastext.corpus import (Basket, TrainingExample, basket_csr, build_vocabulary, encode_catalog,
-                            form_positive_examples, sample_negatives, split_warm)
+from bastext.corpus import Basket, basket_csr, build_vocabulary, split_warm
 from bastext.model import (BastextScorer, ModelConfig, ModelError, adam_step,
-                           basket_vector, batch_loss, check_catalog_hash, init_model,
-                           load_model, materialize_product_vectors, save_model, train)
+                           check_catalog_hash, init_model, load_model,
+                           materialize_product_vectors, save_model, train)
 from bastext.synthetic import make_planted_corpus, make_random_corpus
 
 
@@ -28,6 +27,9 @@ def test_config_rejects_bad_values():
         ModelConfig(dropout=1.0)
     with pytest.raises(ModelError):
         ModelConfig(encoder="rnn")
+    for lr in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(ModelError, match="learning_rate"):
+            ModelConfig(learning_rate=lr)
 
 
 def test_towers_not_aliased(tiny_vocab):
@@ -47,14 +49,6 @@ def test_untied_init_differs(tiny_vocab):
 # ---------------------------------------------------------------------------
 # Scoring
 # ---------------------------------------------------------------------------
-
-def test_basket_vector_singleton_and_mean():
-    ctx = np.array([[1.0, 0.0], [0.0, 1.0], [4.0, 4.0]])
-    assert np.array_equal(basket_vector(np.array([1]), ctx), [0.0, 1.0])
-    assert np.array_equal(basket_vector(np.array([0, 1]), ctx), [0.5, 0.5])
-    with pytest.raises(ModelError):
-        basket_vector(np.array([], dtype=np.int64), ctx)
-
 
 def test_score_zero_embedding_is_half():
     vecs = M.ProductVectors(np.zeros((3, 4)), np.ones((3, 4)), np.zeros(3, bool))
@@ -91,33 +85,37 @@ def test_score_all_ranking_equals_dot_ranking():
 # Loss
 # ---------------------------------------------------------------------------
 
+def _one_example_loss(state, token_ids, context, candidate, label):
+    return M._loss_arrays(state, token_ids, np.array([candidate]), np.zeros(1, dtype=np.int64),
+                          np.array(context, dtype=np.int64), np.array([len(context)]),
+                          np.array([label]), False, None)
+
+
 def test_single_positive_at_init_loss_ln2(tiny_vocab, tiny_tokens):
     # make every encoder output zero so mu = 0.5 exactly
     _, state = _small_state(tiny_vocab)
     state.params_e.W[:] = -1.0
     state.params_c.W[:] = -1.0
-    batch = [TrainingExample(np.array([1, 2]), 0, +1)]
-    loss, _ = batch_loss(batch, state, tiny_tokens)
+    loss, _ = _one_example_loss(state, tiny_tokens, [1, 2], 0, +1)
     assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_single_negative_zero_embedding_loss_ln2(tiny_vocab, tiny_tokens):
     _, state = _small_state(tiny_vocab)
     state.params_e.W[:] = -1.0  # candidate side h = 0 -> mu = 0.5
-    batch = [TrainingExample(np.array([1, 2]), 0, -1)]
-    loss, _ = batch_loss(batch, state, tiny_tokens)
+    loss, _ = _one_example_loss(state, tiny_tokens, [1, 2], 0, -1)
     assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
 
-def test_batch_loss_rejects_empty_context(tiny_vocab, tiny_tokens):
+def test_loss_rejects_empty_context(tiny_vocab, tiny_tokens):
     _, state = _small_state(tiny_vocab)
-    with pytest.raises(ModelError):
-        batch_loss([TrainingExample(np.array([], dtype=np.int64), 0, 1)],
-                   state, tiny_tokens)
+    with pytest.raises(ValueError, match="non-empty segments"):
+        _one_example_loss(state, tiny_tokens, [], 0, +1)
 
 
 def _full_model_fd(state, batch, token_ids, tol=1e-6):
-    loss, grads = batch_loss(batch, state, token_ids)
+    """Central differences of `_loss_arrays` against its gradients; `batch` is arguments 3-7."""
+    loss, grads = M._loss_arrays(state, token_ids, *batch, False, None)
     eps = 1e-6
     rng = np.random.default_rng(77)
     for name, p in state.named_params().items():
@@ -125,9 +123,9 @@ def _full_model_fd(state, batch, token_ids, tol=1e-6):
         for idx in rng.choice(flat.size, size=min(8, flat.size), replace=False):
             orig = flat[idx]
             flat[idx] = orig + eps
-            lp, _ = batch_loss(batch, state, token_ids)
+            lp, _ = M._loss_arrays(state, token_ids, *batch, False, None)
             flat[idx] = orig - eps
-            lm, _ = batch_loss(batch, state, token_ids)
+            lm, _ = M._loss_arrays(state, token_ids, *batch, False, None)
             flat[idx] = orig
             num = (lp - lm) / (2 * eps)
             ana = grads[name].ravel()[idx]
@@ -135,37 +133,33 @@ def _full_model_fd(state, batch, token_ids, tol=1e-6):
                 f"{name}[{idx}]: analytic {ana} vs numeric {num}"
 
 
-def _random_batch(rng, num_products=5, n_pos=2, n_neg=2):
-    batch = []
-    for _ in range(n_pos):
-        members = np.sort(rng.choice(num_products, size=3, replace=False))
-        pos = form_positive_examples(Basket(members, "s"))[0]
-        batch.append(pos)
-        batch.extend(sample_negatives(pos, n_neg, num_products, rng))
-    return batch
+def _random_batch(loss_batch, rng, num_products=5, n_pos=2, n_neg=2):
+    baskets = [Basket(np.sort(rng.choice(num_products, size=3, replace=False)), "s")
+               for _ in range(n_pos)]
+    return loss_batch(baskets, n_neg, num_products, rng)
 
 
-def test_full_model_gradients_mov(tiny_vocab, tiny_tokens):
+def test_full_model_gradients_mov(tiny_vocab, tiny_tokens, loss_batch):
     rng = np.random.default_rng(3)
     _, state = _small_state(tiny_vocab, seed=1)
-    _full_model_fd(state, _random_batch(rng), tiny_tokens)
+    _full_model_fd(state, _random_batch(loss_batch, rng), tiny_tokens)
 
 
-def test_full_model_gradients_cnn(tiny_vocab, tiny_tokens):
+def test_full_model_gradients_cnn(tiny_vocab, tiny_tokens, loss_batch):
     rng = np.random.default_rng(4)
     _, state = _small_state(tiny_vocab, encoder="cnn", seed=1)
     for prm in (state.params_e, state.params_c):
         for w in prm.widths:
             prm.biases[w][:] = rng.normal(0, 0.3, size=prm.biases[w].shape)
         prm.proj_bias[:] = rng.normal(0, 0.3, size=prm.proj_bias.shape)
-    _full_model_fd(state, _random_batch(rng), tiny_tokens)
+    _full_model_fd(state, _random_batch(loss_batch, rng), tiny_tokens)
 
 
-def test_full_model_gradients_with_bias(tiny_vocab, tiny_tokens):
+def test_full_model_gradients_with_bias(tiny_vocab, tiny_tokens, loss_batch):
     rng = np.random.default_rng(5)
     _, state = _small_state(tiny_vocab, seed=2, use_bias=True)
     state.bias[0] = 0.3
-    _full_model_fd(state, _random_batch(rng), tiny_tokens)
+    _full_model_fd(state, _random_batch(loss_batch, rng), tiny_tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +352,7 @@ def test_train_batch_consumes_expected_examples(monkeypatch):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("encoder", ["mov", "cnn"])
 def test_training_step_keeps_parameter_dtype(tiny_catalog, tiny_vocab, tiny_tokens, monkeypatch,
-                                             encoder, dtype):
+                                             loss_batch, encoder, dtype):
     """Every scatter source, gradient, Adam moment and product vector is in the params' dtype."""
     import bastext.encoders as E
     from bastext.kernels import scatter_rows
@@ -373,9 +367,8 @@ def test_training_step_keeps_parameter_dtype(tiny_catalog, tiny_vocab, tiny_toke
     cfg = ModelConfig(k=6, negatives=2, encoder=encoder, dropout=0.2, cnn_filters=3,
                       use_bias=True)
     state = init_model(cfg, tiny_vocab, dtype=dtype)
-    batch = _random_batch(np.random.default_rng(0))
-    _, grads = batch_loss(batch, state, tiny_tokens, training=True,
-                          rng=np.random.default_rng(1))
+    batch = _random_batch(loss_batch, np.random.default_rng(0))
+    _, grads = M._loss_arrays(state, tiny_tokens, *batch, True, np.random.default_rng(1))
     want = np.dtype(dtype)
     assert len(sources) >= 3 and set(sources) == {want}
     assert {name: g.dtype for name, g in grads.items()} == dict.fromkeys(grads, want)
