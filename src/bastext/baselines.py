@@ -159,4 +159,4 @@ class Prod2vecModel(ContextScorer):
     def score_cases(self, indptr, ctx_flat, case_ids) -> np.ndarray:
         """Cosine between each case's mean context in-vector and every product's in-vector."""
         means = segment_mean(self.in_vecs[ctx_flat], indptr)
-        return np.stack([cosine_to_all(mean, self.in_vecs) for mean in means])
+        return cosine_to_all(means, self.in_vecs)

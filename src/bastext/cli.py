@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, corpus, evaluation, model
-from .encoders import EncoderError, load_pretrained_vectors
+from .encoders import EncoderError, encode_batch, load_pretrained_vectors
 from .kernels import cosine_to_all
 
 
@@ -120,6 +120,16 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_bastext(path, catalog):
+    """The model saved at `path` and its scorer over `catalog`'s product vectors."""
+    state = model.load_model(path)
+    if not model.check_catalog_hash(state, catalog):
+        print("warning: catalog hash differs from the one the model was trained on",
+              file=sys.stderr)
+    bias = float(state.bias[0]) if state.config.use_bias else 0.0
+    return state, model.BastextScorer(model.materialize_product_vectors(state, catalog), bias)
+
+
 def cmd_evaluate(args) -> int:
     ns = _parse_list(args.ns, int, evaluation.EvalError, "--ns")
     out = Path(args.out)
@@ -128,12 +138,7 @@ def cmd_evaluate(args) -> int:
     cases = evaluation.form_test_cases(split)
     m = len(catalog)
     if args.method == "bastext":
-        state = model.load_model(out / "models" / "model.bin")
-        if not model.check_catalog_hash(state, catalog):
-            print("warning: catalog hash differs from the one the model was trained on",
-                  file=sys.stderr)
-        vectors = model.materialize_product_vectors(state, catalog)
-        scorer = model.BastextScorer(vectors, float(state.bias[0]) if state.config.use_bias else 0.0)
+        _, scorer = _load_bastext(out / "models" / "model.bin", catalog)
     elif args.method == "pop":
         scorer = baselines.PopModel.fit(split.train, m)
     elif args.method == "itemknn":
@@ -169,12 +174,7 @@ def _load_for_query(args):
         raise SystemExit(f"error: --top-n must be >= 1, got {args.top_n}")
     out = Path(args.out)
     catalog = corpus.read_catalog(*_corpus_files(out, "catalog.tsv"))
-    state = model.load_model(args.model or out / "models" / "model.bin")
-    if not model.check_catalog_hash(state, catalog):
-        print("warning: catalog hash differs from the one the model was trained on",
-              file=sys.stderr)
-    vectors = model.materialize_product_vectors(state, catalog)
-    return catalog, state, vectors
+    return (catalog, *_load_bastext(args.model or out / "models" / "model.bin", catalog))
 
 
 def _resolve(catalog, external_id: str) -> int:
@@ -198,42 +198,40 @@ def _top_k(scores: np.ndarray, k: int, exclude=()) -> np.ndarray:
 
 
 def cmd_similar(args) -> int:
-    catalog, _, vectors = _load_for_query(args)
+    catalog, _, scorer = _load_for_query(args)
     pid = _resolve(catalog, args.product)
-    sims = cosine_to_all(vectors.embedding[pid], vectors.embedding)
+    sims = cosine_to_all(scorer.vectors.embedding[[pid]], scorer.vectors.embedding)[0]
     top = _top_k(sims, args.top_n, exclude=[pid])
     _print_top(catalog, top, sims[top])
     return 0
 
 
 def cmd_alsobuy(args) -> int:
-    catalog, _, vectors = _load_for_query(args)
+    catalog, _, scorer = _load_for_query(args)
     pid = _resolve(catalog, args.product)
-    scores = vectors.embedding @ vectors.context[pid]
+    scores = scorer.vectors.embedding @ scorer.vectors.context[pid]
     top = _top_k(scores, args.top_n, exclude=[pid])
     _print_top(catalog, top, scores[top])
     return 0
 
 
 def cmd_search(args) -> int:
-    from .encoders import encode_batch
-
-    catalog, state, vectors = _load_for_query(args)
-    tokens = state.vocab.encode(corpus.tokenize(args.query))
-    if len(tokens) and (tokens == state.vocab.unk_index).all():
+    catalog, state, scorer = _load_for_query(args)
+    title = corpus.title_matrix([state.vocab.encode(corpus.tokenize(args.query))],
+                                state.vocab.size)
+    if title.size and (title == state.vocab.unk_index).all():
         print("warning: every query token is out of vocabulary", file=sys.stderr)
-    q, _ = encode_batch(state.params_e, state.table, [tokens])
-    sims = cosine_to_all(q[0], vectors.embedding)
+    q, _ = encode_batch(state.params_e, state.table, title)
+    sims = cosine_to_all(q, scorer.vectors.embedding)[0]
     top = _top_k(sims, args.top_n)
     _print_top(catalog, top, sims[top])
     return 0
 
 
 def cmd_next(args) -> int:
-    catalog, state, vectors = _load_for_query(args)
+    catalog, _, scorer = _load_for_query(args)
     ctx = np.array([_resolve(catalog, e) for e in args.context], dtype=np.int64)
-    bias = float(state.bias[0]) if state.config.use_bias else 0.0
-    scores = model.BastextScorer(vectors, bias).score_all(ctx)
+    scores = scorer.score_all(ctx)
     top = _top_k(scores, args.top_n, exclude=ctx)
     _print_top(catalog, top, scores[top])
     return 0

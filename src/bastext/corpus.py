@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -367,9 +368,22 @@ def build_vocabulary(catalog: Catalog, min_count: int = 1) -> Vocabulary:
     return Vocabulary(word_to_index, np.array([counts[w] for w in kept], dtype=np.int64), min_count)
 
 
-def encode_catalog(catalog: Catalog, vocab: Vocabulary) -> list[np.ndarray]:
-    """Token-id list per product, with out-of-vocabulary tokens mapped to UNK."""
-    return [vocab.encode(p.tokens) for p in catalog.products]
+def title_matrix(token_lists, vocab_size: int) -> np.ndarray:
+    """(n, L) int64 title matrix: row p holds title p's token ids left-aligned, L the longest.
+
+    UNK = V counts toward a title's length; the PAD = V + 1 that fills the row does not."""
+    lens = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
+    out = np.full((len(lens), lens.max(initial=0)), vocab_size + 1, dtype=np.int64)
+    out[np.arange(out.shape[1]) < lens[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(token_lists), dtype=np.int64, count=int(lens.sum()))
+    return out
+
+
+def encode_catalog(catalog: Catalog, vocab: Vocabulary) -> np.ndarray:
+    """The catalog's title matrix, with out-of-vocabulary tokens mapped to UNK."""
+    index, unk = vocab.word_to_index, vocab.unk_index  # `vocab.encode` per title is 1.5x slower
+    return title_matrix([[index.get(t, unk) for t in p.tokens] for p in catalog.products],
+                        vocab.size)
 
 
 # ---------------------------------------------------------------------------

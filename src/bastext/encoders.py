@@ -6,9 +6,8 @@ convolutional encoder (per-width filter banks, ReLU, max-over-time pooling,
 linear projection, ReLU). Both support one-hot or pretrained word inputs and
 have exact analytic backward passes.
 
-The entry points (`encode_batch` / `backward_batch`) operate on a list of
-token-id arrays at once.
-Token index V (the UNK index, and right padding) maps to the zero vector.
+The entry points (`encode_batch` / `backward_batch`) take the rows of a title matrix
+(`corpus.title_matrix`), whose UNK = V and PAD = V + 1 both map to the zero vector.
 """
 
 from __future__ import annotations
@@ -148,21 +147,14 @@ def init_cnn(input_dim: int, k: int, widths: tuple[int, ...], num_filters: int,
 # Mean-of-vectors encoder
 # ---------------------------------------------------------------------------
 
-def _mean_matrix(token_ids: list[np.ndarray], vocab_size: int, dtype) -> sparse.csr_matrix:
-    """Sparse (P, V) matrix whose row p averages product p's in-vocabulary tokens.
+def _mean_matrix(token_ids: np.ndarray, vocab_size: int, dtype) -> sparse.csr_matrix:
+    """Sparse (P, V) matrix whose row p averages the in-vocabulary tokens of title row p.
 
-    The denominator is the full token count |s| (UNK tokens contribute a zero
-    vector but still count), matching the mean over all words of the title.
-    """
-    lens = np.fromiter(map(len, token_ids), dtype=np.int64, count=len(token_ids))
-    toks = np.concatenate(token_ids) if token_ids else np.zeros(0, dtype=np.int64)
-    rows = np.repeat(np.arange(len(token_ids)), lens)
-    vals = np.repeat((1.0 / np.maximum(lens, 1)).astype(dtype), lens)
-    valid = toks < vocab_size
-    rows, cols, vals = rows[valid], toks[valid], vals[valid]
-    m = sparse.coo_matrix((vals, (rows, cols)), shape=(len(token_ids), vocab_size)).tocsr()
-    m.sum_duplicates()
-    return m
+    The denominator is the title's full token count |s|: an UNK adds a zero vector but counts."""
+    inv = (1.0 / np.maximum(np.count_nonzero(token_ids <= vocab_size, axis=1), 1)).astype(dtype)
+    rows, at = np.nonzero(token_ids < vocab_size)  # row-major: each title's tokens in order
+    return sparse.coo_matrix((inv[rows], (rows, token_ids[rows, at])),
+                             shape=(len(token_ids), vocab_size)).tocsr()  # sums duplicates
 
 
 def _dropout_mask(shape, rate: float, rng: np.random.Generator | None, dtype):
@@ -210,14 +202,12 @@ def _mov_backward(params: MovParams, cache, d_out, want_input_grads):
 
 def _cnn_forward(params: CnnParams, table: WordInputTable, token_ids, dropout_rate, rng):
     dtype = params.proj.dtype
-    n = len(token_ids)
     wmax = max(params.widths)
-    pad_id = table.vocab_size  # maps to the zero vector
-    lens = np.array([max(len(t), wmax) for t in token_ids], dtype=np.int64)
-    lmax = int(lens.max()) if n else wmax
-    T = np.full((n, lmax), pad_id, dtype=np.int64)
-    for p, toks in enumerate(token_ids):
-        T[p, : len(toks)] = toks
+    title_lens = np.count_nonzero(token_ids <= table.vocab_size, axis=1)  # UNK counts, PAD not
+    lens = np.maximum(title_lens, wmax)
+    lmax = int(lens.max(initial=wmax))
+    T = np.minimum(token_ids[:, :lmax], table.vocab_size)  # PAD reads as UNK: a zero vector
+    T = np.pad(T, ((0, 0), (0, lmax - T.shape[1])), constant_values=table.vocab_size)
 
     X = None
     if table.mode == "pretrained":
@@ -233,7 +223,7 @@ def _cnn_forward(params: CnnParams, table: WordInputTable, token_ids, dropout_ra
         nf = fw.shape[0]
         if table.mode == "onehot":
             fe = np.concatenate([fw, np.zeros((nf, w, 1), dtype=dtype)], axis=2)
-            conv = np.zeros((n, lw, nf), dtype=dtype)
+            conv = np.zeros((len(T), lw, nf), dtype=dtype)
             for o in range(w):
                 conv += fe[:, o, T[:, o: o + lw]].transpose(1, 2, 0)
         else:
@@ -248,16 +238,14 @@ def _cnn_forward(params: CnnParams, table: WordInputTable, token_ids, dropout_ra
         convstar = np.take_along_axis(conv, tstar[:, None, :], axis=1)[:, 0, :]
         pooled_parts.append(pooled.astype(dtype, copy=False))
         per_width[w] = {"tstar": tstar, "relu": convstar > 0}
-    features = np.concatenate(pooled_parts, axis=1) if n else np.zeros((0, params.proj.shape[0]), dtype)
+    features = np.concatenate(pooled_parts, axis=1)
     mask = _dropout_mask(features.shape, dropout_rate, rng, dtype)
     feat_d = features if mask is None else features * mask
     z = feat_d @ params.proj + params.proj_bias
-    out = np.maximum(z, 0)
-    empty = np.array([len(t) == 0 for t in token_ids], dtype=bool)
-    if empty.any():
-        out = np.where(empty[:, None], 0, out)
+    empty = (title_lens == 0)[:, None]
+    out = np.where(empty, 0, np.maximum(z, 0))
     cache = {"T": T, "X": X, "per_width": per_width, "feat_d": feat_d, "drop": mask,
-             "zmask": (z > 0) & ~empty[:, None], "table": table, "empty": empty}
+             "zmask": (z > 0) & ~empty, "table": table}
     return out, cache
 
 
@@ -308,9 +296,9 @@ def _cnn_backward(params: CnnParams, cache, d_out, want_input_grads):
 # Public interface
 # ---------------------------------------------------------------------------
 
-def encode_batch(params, table: WordInputTable, token_ids: list[np.ndarray], *,
+def encode_batch(params, table: WordInputTable, token_ids: np.ndarray, *,
                  dropout_rate: float = 0.0, rng: np.random.Generator | None = None):
-    """Encode a batch of token-id sequences; returns (n, K) outputs plus a backward cache."""
+    """Encode the rows of a title matrix; returns (n, K) outputs plus a backward cache."""
     if isinstance(params, MovParams):
         return _mov_forward(params, table, token_ids, dropout_rate, rng)
     if isinstance(params, CnnParams):

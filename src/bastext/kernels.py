@@ -2,8 +2,8 @@
 
 `scatter_rows` is the one scatter-add in the package: the model's loss, the
 CNN backward pass and the SGNS baseline all sum gradient rows into parameter
-rows through it. `cosine_to_all` is the one cosine against a table: the
-`similar` and `search` queries and the prod2vec scorer rank products by it.
+rows through it. `cosine_to_all` is the one cosine of a block against a table:
+the `similar` and `search` queries and the prod2vec scorer rank products by it.
 `segment_mean` is the one mean of a case's context vectors: the loss and the
 bastext and prod2vec scorers take it once per block. `rank_block` is the one
 ranking rule: evaluation and per-epoch validation rank every held-out product
@@ -55,13 +55,15 @@ def segment_mean(rows: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return sums / lens.astype(rows.dtype).reshape((-1,) + (1,) * (rows.ndim - 1))
 
 
-def cosine_to_all(vec: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Cosine of `vec` against every row; zero rows (or a zero query) score 0."""
+def cosine_to_all(vecs: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """(n, M) float64: row i is the cosine of `vecs[i]` against every row; a zero row scores 0.
+
+    Each query's norm is the 1-D `np.linalg.norm` (an `axis=1` norm is not bitwise equal)."""
     norms = np.linalg.norm(matrix, axis=1)
-    vn = np.linalg.norm(vec)
-    out = np.zeros(matrix.shape[0])
-    nz = (norms > 0) & (vn > 0)
-    out[nz] = (matrix @ vec)[nz] / (norms[nz] * vn)
+    vns = np.array([np.linalg.norm(v) for v in vecs], dtype=norms.dtype)[:, None]
+    nz = (norms > 0) & (vns > 0)
+    out = np.zeros(nz.shape)
+    out[nz] = np.matmul(matrix, vecs[:, :, None])[:, :, 0][nz] / (norms * vns)[nz]
     return out
 
 

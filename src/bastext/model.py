@@ -14,7 +14,7 @@ import copy
 import json
 import struct
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.special import expit
@@ -94,7 +94,6 @@ class ModelState:
 class ProductVectors:
     embedding: np.ndarray  # (M, K) rows h_i
     context: np.ndarray  # (M, K) rows h'_i
-    degenerate: np.ndarray  # (M,) bool, True for empty-after-UNK titles
 
 
 def init_model(config: ModelConfig, vocab: Vocabulary, table: WordInputTable | None = None,
@@ -111,6 +110,8 @@ def init_model(config: ModelConfig, vocab: Vocabulary, table: WordInputTable | N
     """
     if table is None:
         table = WordInputTable.one_hot(vocab.size)
+    if config.pretrained and config.finetune_pretrained:  # Adam tunes a copy, not the caller's
+        table = replace(table, vectors=table.vectors.astype(dtype, copy=True))
     rng = np.random.default_rng(config.seed)
     d = table.dim
 
@@ -123,8 +124,6 @@ def init_model(config: ModelConfig, vocab: Vocabulary, table: WordInputTable | N
     params_c = make(rng) if not config.tied_init else copy.deepcopy(params_e)
     state = ModelState(config, vocab, table, params_e, params_c,
                        np.zeros(1, dtype=dtype), {}, {}, 0, catalog_hash)
-    if config.pretrained and config.finetune_pretrained:
-        state.table.vectors = state.table.vectors.astype(dtype, copy=True)
     for name, p in state.named_params().items():
         state.adam_m[name] = np.zeros_like(p)
         state.adam_v[name] = np.zeros_like(p)
@@ -164,15 +163,15 @@ class BastextScorer(ContextScorer):
 # Loss and optimizer
 # ---------------------------------------------------------------------------
 
-def _loss_arrays(state: ModelState, token_ids: list[np.ndarray],
+def _loss_arrays(state: ModelState, token_ids: np.ndarray,
                  cand_ids: np.ndarray, ex_ctx: np.ndarray,
                  ctx_flat: np.ndarray, ctx_lens: np.ndarray,
                  labels: np.ndarray, training: bool, rng) -> tuple[float, dict[str, np.ndarray]]:
     """Vectorized batch loss + gradients.
 
-    `ctx_flat/ctx_lens` describe the distinct contexts, concatenated in order;
-    `ex_ctx[e]` names the context of example e, so negatives share their
-    positive's context.
+    `token_ids` is the catalog's title matrix. `ctx_flat/ctx_lens` describe the
+    distinct contexts, concatenated in order; `ex_ctx[e]` names the context of
+    example e, so negatives share their positive's context.
     """
     cfg = state.config
     dtype = state.params_e.as_dict()["proj" if cfg.encoder == "cnn" else "W"].dtype
@@ -181,9 +180,9 @@ def _loss_arrays(state: ModelState, token_ids: list[np.ndarray],
 
     ucand, cand_inv = np.unique(cand_ids, return_inverse=True)
     uctx, ctx_inv = np.unique(ctx_flat, return_inverse=True)
-    he, cache_e = encode_batch(state.params_e, state.table, [token_ids[i] for i in ucand],
+    he, cache_e = encode_batch(state.params_e, state.table, token_ids[ucand],
                                dropout_rate=drop, rng=rng)
-    hc, cache_c = encode_batch(state.params_c, state.table, [token_ids[i] for i in uctx],
+    hc, cache_c = encode_batch(state.params_c, state.table, token_ids[uctx],
                                dropout_rate=drop, rng=rng)
 
     hbar = segment_mean(hc[ctx_inv], np.concatenate([[0], np.cumsum(ctx_lens)]))
@@ -244,8 +243,7 @@ def materialize_product_vectors(state: ModelState, catalog: Catalog) -> ProductV
     token_ids = encode_catalog(catalog, state.vocab)
     emb, _ = encode_batch(state.params_e, state.table, token_ids)
     ctx, _ = encode_batch(state.params_c, state.table, token_ids)
-    degenerate = np.array([len(t) == 0 for t in token_ids], dtype=bool)
-    return ProductVectors(np.ascontiguousarray(emb), np.ascontiguousarray(ctx), degenerate)
+    return ProductVectors(np.ascontiguousarray(emb), np.ascontiguousarray(ctx))
 
 
 def _sample_negative_matrix(basket_rows: np.ndarray, member_keys: np.ndarray,

@@ -27,7 +27,7 @@ import bastext.model as M
 from bastext import cli
 from bastext.baselines import ItemKnnModel, PopModel, Prod2vecModel, Prod2vecConfig
 from bastext.corpus import (Basket, build_vocabulary, import_dataset, split_cold, split_warm,
-                            write_canonical)
+                            title_matrix, write_canonical)
 from bastext.encoders import WordInputTable
 from bastext.evaluation import (evaluate, form_test_cases, mrr_at_n, rank_candidates,
                                 recall_at_n)
@@ -104,8 +104,8 @@ def test_criterion_1_gradients(loss_batch):
     table = WordInputTable.pretrained(rng.normal(0, 0.5, size=(vocab_words, dim)))
 
     # titles over the 20-word vocabulary, with occasional UNK hits
-    token_lists = [rng.integers(0, vocab_words + 1, size=rng.integers(2, 7))
-                   for _ in range(12)]
+    titles = title_matrix([rng.integers(0, vocab_words + 1, size=rng.integers(2, 7))
+                           for _ in range(12)], vocab_words)
 
     class _FlatVocab:
         size = vocab_words
@@ -127,16 +127,16 @@ def test_criterion_1_gradients(loss_batch):
             baskets = [Basket(np.sort(rng.choice(12, size=3, replace=False)), "s")
                        for _ in range(3)]
             batch = loss_batch(baskets, 2, 12, rng)
-            _, grads = M._loss_arrays(state, token_lists, *batch, False, None)
+            _, grads = M._loss_arrays(state, titles, *batch, False, None)
             eps = 1e-4
             for name, p in state.named_params().items():
                 flat = p.ravel()
                 for idx in rng.choice(flat.size, size=min(4, flat.size), replace=False):
                     orig = flat[idx]
                     flat[idx] = orig + eps
-                    lp, _ = M._loss_arrays(state, token_lists, *batch, False, None)
+                    lp, _ = M._loss_arrays(state, titles, *batch, False, None)
                     flat[idx] = orig - eps
-                    lm, _ = M._loss_arrays(state, token_lists, *batch, False, None)
+                    lm, _ = M._loss_arrays(state, titles, *batch, False, None)
                     flat[idx] = orig
                     num = (lp - lm) / (2 * eps)
                     ana = grads[name].ravel()[idx]

@@ -104,3 +104,20 @@ def test_traced_pipeline_reports_every_layer_metric(tmp_path, capsys, encoder, c
     # the spans were recorded: both towers ran forward inside the loss
     assert layers["encoders.forward_E.s"] > 0 and layers["encoders.forward_C.s"] > 0
     assert layers["cli.query.calls"] == 1
+
+    # The row counters read `len()` of the title argument: a title format must answer it
+    # with its row count. In `similar`, each tower encodes the whole catalog once.
+    spans, similar = tracer.spans, len(steps) - 1
+
+    def under(i, name):
+        while spans[i][3] >= 0:
+            i = spans[i][3]
+            if spans[i][0] == name:
+                return True
+        return False
+
+    counted = ["encoders.encode_batch"] + (["encoders._mean_matrix"] if encoder == "mov" else [])
+    for fn in counted:
+        rows = [s[5] for i, s in enumerate(spans) if s[0] == fn and s[4] == similar
+                and under(i, "model.materialize_product_vectors")]
+        assert rows == [len(catalog)] * 2, fn

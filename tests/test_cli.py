@@ -10,6 +10,7 @@ import pytest
 
 import bastext
 from bastext import cli, corpus, model
+from bastext.encoders import load_pretrained_vectors
 from bastext.synthetic import make_planted_corpus
 
 
@@ -159,6 +160,37 @@ def test_queries_read_only_the_catalog(tmp_path, raw_corpus, capsys):
     (out / "corpus" / "catalog.tsv").unlink()
     with pytest.raises(SystemExit, match="no ingested corpus"):
         _run(["similar", eid0, "--out", out])
+
+
+def test_finetune_pretrained_round_trip(tmp_path, raw_corpus, capsys):
+    """`train --pretrained --finetune-pretrained` saves the tuned table; evaluate and search
+    run on it."""
+    out = tmp_path / "run"
+    cat, bsk = raw_corpus
+    assert _run(["ingest", "--format", "canonical", cat, bsk, "--out", out]) == 0
+    assert _run(["split", "--out", out]) == 0
+    catalog, baskets = cli._load_corpus(out)
+    vocab = corpus.build_vocabulary(catalog)
+    rng = np.random.default_rng(0)
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("".join(f"{w} {' '.join(f'{x:.3f}' for x in rng.normal(size=4))}\n"
+                               for w in vocab.words()))
+    argv = ["train", "--out", out, "--k", "8", "--epochs", "2", "--batch-size", "256",
+            "--pretrained", vectors, "--finetune-pretrained"]
+    assert _run(argv) == 0
+    assert _run(["evaluate", "--out", out]) == 0
+    capsys.readouterr()
+    assert _run(["search", catalog.products[0].title, "--out", out, "--top-n", "3"]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 3
+
+    saved = model.load_model(out / "models" / "model.bin")
+    table, _ = load_pretrained_vectors(vectors, vocab)
+    split = cli._load_split(out, "warm", catalog, baskets)
+    config = cli._model_config(cli.build_parser().parse_args([str(a) for a in argv]))
+    tuned, _ = model.train(config, split.train, split.validation, catalog, vocab, table)
+    assert saved.table.mode == "pretrained"
+    assert not np.array_equal(saved.table.vectors, table.vectors)  # tuned, not the file's
+    assert np.array_equal(saved.table.vectors, tuned.table.vectors)
 
 
 def test_bad_pretrained_file_exits_1(tmp_path, raw_corpus, capsys):

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bastext.corpus import (Basket, Catalog, CorpusError, basket_csr, build_vocabulary,
-                            import_dataset, leave_one_out, load_split_manifest, read_catalog,
-                            save_split_manifest, split_cold, split_warm, tokenize,
-                            write_canonical)
+                            encode_catalog, import_dataset, leave_one_out, load_split_manifest,
+                            read_catalog, save_split_manifest, split_cold, split_warm,
+                            title_matrix, tokenize, write_canonical)
 from bastext.model import _sample_negative_matrix
 from bastext.synthetic import make_random_corpus
 
@@ -63,6 +63,29 @@ def test_vocabulary_unknown_maps_to_unk():
     enc = vocab.encode(["a", "zzz"])
     assert enc[0] < vocab.size
     assert enc[1] == vocab.unk_index
+
+
+def test_title_matrix_layout():
+    """Each title left-aligned in its row, UNK = V kept in place, PAD = V + 1 after it."""
+    m = title_matrix([[2, 0], [], [3, 1, 3]], 3)
+    assert m.dtype == np.int64
+    assert m.tolist() == [[2, 0, 4], [4, 4, 4], [3, 1, 3]]
+    assert title_matrix([], 3).shape == (0, 0)
+    assert title_matrix([[], []], 3).shape == (2, 0)
+    assert title_matrix([np.array([1, 3])], 3).tolist() == [[1, 3]]
+
+
+def test_encode_catalog_maps_rare_words_to_unk():
+    cat = Catalog()
+    cat.add("x", "red apple")
+    cat.add("y", "apple")
+    cat.add("z", "")
+    vocab = build_vocabulary(cat, min_count=2)  # apple = 0; red is UNK = 1; PAD = 2
+    assert encode_catalog(cat, vocab).tolist() == [[1, 0], [0, 2], [2, 2]]
+    cat, _ = make_random_corpus(50, 10, seed=4)
+    vocab = build_vocabulary(cat, min_count=2)
+    assert np.array_equal(encode_catalog(cat, vocab), title_matrix(
+        [vocab.encode(p.tokens) for p in cat.products], vocab.size))
 
 
 def test_vocabulary_matches_independent_scan():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from bastext.corpus import Catalog, build_vocabulary
+from bastext.corpus import Catalog, build_vocabulary, title_matrix
 from bastext.encoders import (CnnParams, EncoderError, MovParams, WordInputTable,
                               _mean_matrix, backward_batch, encode_batch, init_cnn, init_mov,
                               load_pretrained_vectors)
@@ -18,7 +18,7 @@ def _rand_tokens(rng, n, v):
 
 def _encode(params, table, toks):
     """One token sequence through `encode_batch`: its (K,) output vector."""
-    out, _ = encode_batch(params, table, [np.asarray(toks, dtype=np.int64)])
+    out, _ = encode_batch(params, table, title_matrix([toks], table.vocab_size))
     return out[0]
 
 
@@ -119,9 +119,8 @@ def _mean_matrix_per_row(token_ids, vocab_size, dtype):
 def test_mean_matrix_matches_per_row_definition(v, dtype, data):
     """Empty titles, all-UNK titles (token V) and repeated tokens, compared exactly."""
     titles = data.draw(st.lists(st.lists(st.integers(0, v), max_size=6), max_size=8))
-    token_ids = [np.array(t, dtype=np.int64) for t in titles]
-    got = _mean_matrix(token_ids, v, dtype)
-    want = _mean_matrix_per_row(token_ids, v, dtype)
+    got = _mean_matrix(title_matrix(titles, v), v, dtype)
+    want = _mean_matrix_per_row([np.array(t, dtype=np.int64) for t in titles], v, dtype)
     assert got.shape == want.shape
     assert got.dtype == want.dtype == dtype
     for name in ("indptr", "indices", "data"):
@@ -217,13 +216,17 @@ def test_init_cnn_rejects_bad_widths():
 # Backward: finite differences
 # ---------------------------------------------------------------------------
 
-def _fd_check(params, table, toks, rng, eps=1e-6, tol=1e-7):
+def _fd_check(params, table, toks, rng, eps=1e-6, tol=1e-7, want_input_grads=False):
     """Compare analytic encoder gradients against central differences on a
-    random scalar projection of the output."""
-    out, cache = encode_batch(params, table, [toks])
+    random scalar projection of the output; with `want_input_grads`, also the
+    gradient of the pretrained input vectors (`grads["input"]`)."""
+    out, cache = encode_batch(params, table, title_matrix([toks], table.vocab_size))
     probe = rng.normal(size=out.shape[1])
-    grads = backward_batch(params, cache, probe[None, :])
-    for name, tensor in params.as_dict().items():
+    grads = backward_batch(params, cache, probe[None, :], want_input_grads=want_input_grads)
+    tensors = params.as_dict()
+    if want_input_grads:
+        tensors["input"] = table.vectors
+    for name, tensor in tensors.items():
         g = grads[name]
         flat = tensor.ravel()
         for idx in rng.choice(flat.size, size=min(10, flat.size), replace=False):
@@ -265,6 +268,7 @@ def test_cnn_gradient_finite_differences():
 
 
 def test_pretrained_cnn_gradient_finite_differences():
+    """Parameter and fine-tuning input gradients over a pretrained table."""
     rng = np.random.default_rng(12)
     v, d, k = 6, 4, 3
     table = WordInputTable.pretrained(rng.normal(size=(v, d)))
@@ -273,13 +277,24 @@ def test_pretrained_cnn_gradient_finite_differences():
     params.proj_bias[:] = rng.normal(0, 0.3, size=k)
     toks = rng.integers(0, v, size=4).astype(np.int64)
     _fd_check(params, table, toks, rng)
+    # a repeated word and an UNK (which has no input vector) in one title
+    _fd_check(params, table, np.array([1, 4, 1, v, 3]), rng, want_input_grads=True)
+
+
+def test_pretrained_mov_gradient_finite_differences():
+    """Parameter and fine-tuning input gradients over a pretrained table."""
+    rng = np.random.default_rng(17)
+    v, d, k = 6, 4, 3
+    table = WordInputTable.pretrained(rng.normal(size=(v, d)))
+    for toks in (np.array([2]), np.array([1, 4, 1, v, 3])):
+        _fd_check(init_mov(d, k, rng, F64), table, toks, rng, want_input_grads=True)
 
 
 def test_zero_output_gradient_gives_zero_param_gradients():
     rng = np.random.default_rng(13)
     table = WordInputTable.one_hot(6)
     for params in (init_mov(6, 4, rng, F64), init_cnn(6, 4, (2,), 2, rng, F64)):
-        _, cache = encode_batch(params, table, [np.array([1, 2])])
+        _, cache = encode_batch(params, table, title_matrix([[1, 2]], 6))
         grads = backward_batch(params, cache, np.zeros((1, 4)))
         for g in grads.values():
             if isinstance(g, np.ndarray):
@@ -291,7 +306,7 @@ def test_mov_backward_single_token_row():
     v, k = 5, 3
     params = MovParams(rng.normal(size=(v, k)))
     table = WordInputTable.one_hot(v)
-    _, cache = encode_batch(params, table, [np.array([2])])
+    _, cache = encode_batch(params, table, title_matrix([[2]], v))
     probe = rng.normal(size=k)
     grads = backward_batch(params, cache, probe[None, :])
     relu_mask = (params.W[2] > 0).astype(float)
@@ -309,9 +324,12 @@ def test_encode_batch_matches_single_calls():
     rng = np.random.default_rng(15)
     v, k = 9, 4
     table = WordInputTable.one_hot(v)
-    toks = _rand_tokens(rng, 12, v)
+    toks = _rand_tokens(rng, 12, v) + [np.zeros(0, dtype=np.int64), np.array([v, 1])]
+    # rows of a wider matrix, as the loss slices them from the catalog's: PAD past every title
+    wide = title_matrix(toks + [np.zeros(9, dtype=np.int64)], v)[:-1]
     for params in (init_mov(v, k, rng, F64), init_cnn(v, k, (2, 3), 3, rng, F64)):
-        vecs, _ = encode_batch(params, table, toks)
+        vecs, _ = encode_batch(params, table, title_matrix(toks, v))
+        assert np.array_equal(encode_batch(params, table, wide)[0], vecs)
         for i, t in enumerate(toks):
             assert np.allclose(vecs[i], _encode(params, table, t), atol=1e-12)
 
@@ -321,7 +339,7 @@ def test_dropout_inverted_scaling():
     v, k = 6, 400
     params = MovParams(np.abs(rng.normal(size=(v, k))))  # all-positive: ReLU inactive
     table = WordInputTable.one_hot(v)
-    toks = [np.array([0, 1])] * 1
+    toks = title_matrix([[0, 1]], v)
     base, _ = encode_batch(params, table, toks)
     dropped, _ = encode_batch(params, table, toks, dropout_rate=0.2,
                               rng=np.random.default_rng(99))

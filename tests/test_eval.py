@@ -377,8 +377,8 @@ def _scorers(train, m, cases):
         "itemknn": ItemKnnModel.fit(train, m),
         "itemknn-last": ItemKnnModel.fit(train, m, last_item_only=True),
         "prod2vec": Prod2vecModel.fit(train, m, Prod2vecConfig(k=8, epochs=1)),
-        "bastext": BastextScorer(ProductVectors(emb, ctx, np.zeros(m, dtype=bool))),
-        "bastext-float": BastextScorer(ProductVectors(emb_f, ctx_f, np.zeros(m, dtype=bool))),
+        "bastext": BastextScorer(ProductVectors(emb, ctx)),
+        "bastext-float": BastextScorer(ProductVectors(emb_f, ctx_f)),
         "external": external,
     }
 

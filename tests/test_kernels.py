@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bastext.kernels import scatter_rows, segment_mean
+from bastext.kernels import cosine_to_all, scatter_rows, segment_mean
 
 
 @settings(max_examples=100, deadline=None)
@@ -58,3 +58,35 @@ def test_segment_mean_rows_are_their_own_segments(lens, width, dtype, data):
     empty_at = data.draw(st.integers(0, len(lens)))
     with pytest.raises(ValueError, match="non-empty segments"):
         segment_mean(rows, np.insert(indptr, empty_at, indptr[empty_at]))
+
+
+def _cosine_one(vec, matrix):
+    """Reference: one query against the table, its norms taken per call."""
+    norms = np.linalg.norm(matrix, axis=1)
+    vn = np.linalg.norm(vec)
+    out = np.zeros(matrix.shape[0])
+    nz = (norms > 0) & (vn > 0)
+    out[nz] = (matrix @ vec)[nz] / (norms[nz] * vn)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("m, k", [(3000, 21), (200, 327), (20000, 3)])
+def test_cosine_block_rows_are_their_one_query_calls(m, k, dtype):
+    """Bitwise the per-query reference, with a zero table row and a zero query scoring 0."""
+    rng = np.random.default_rng(m + k)
+    matrix = rng.normal(size=(m, k)).astype(dtype)
+    matrix[1] = 0
+    vecs = rng.normal(size=(5, k)).astype(dtype)
+    vecs[2] = 0
+
+    out = cosine_to_all(vecs, matrix)
+
+    assert out.shape == (5, m) and out.dtype == np.float64
+    for i, vec in enumerate(vecs):
+        assert out[i].tobytes() == _cosine_one(vec, matrix).tobytes()
+        assert out[i].tobytes() == cosine_to_all(vecs[i:i + 1], matrix)[0].tobytes()
+    assert not out[2].any() and not out[:, 1].any()
+    unit = matrix / np.maximum(np.linalg.norm(matrix, axis=1, keepdims=True), 1e-30)
+    np.testing.assert_allclose(out[0], unit @ (vecs[0] / np.linalg.norm(vecs[0])),
+                               atol=1e-5 if dtype == np.float32 else 1e-12)

@@ -3,7 +3,8 @@ import pytest
 from scipy.special import expit
 
 import bastext.model as M
-from bastext.corpus import Basket, basket_csr, build_vocabulary, split_warm
+from bastext.corpus import Basket, basket_csr, build_vocabulary, split_warm, title_matrix
+from bastext.encoders import WordInputTable
 from bastext.model import (BastextScorer, ModelConfig, ModelError, adam_step,
                            check_catalog_hash, init_model, load_model,
                            materialize_product_vectors, save_model, train)
@@ -51,20 +52,20 @@ def test_untied_init_differs(tiny_vocab):
 # ---------------------------------------------------------------------------
 
 def test_score_zero_embedding_is_half():
-    vecs = M.ProductVectors(np.zeros((3, 4)), np.ones((3, 4)), np.zeros(3, bool))
+    vecs = M.ProductVectors(np.zeros((3, 4)), np.ones((3, 4)))
     assert BastextScorer(vecs).score_all(np.array([1, 2]))[0] == 0.5
 
 
 def test_score_saturation():
     k = 64
-    vecs = M.ProductVectors(np.ones((2, k)), np.ones((2, k)), np.zeros(2, bool))
+    vecs = M.ProductVectors(np.ones((2, k)), np.ones((2, k)))
     assert BastextScorer(vecs).score_all(np.array([1]))[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_score_matches_scalar_oracle():
     rng = np.random.default_rng(0)
     emb, ctx = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
-    vecs = M.ProductVectors(emb, ctx, np.zeros(6, bool))
+    vecs = M.ProductVectors(emb, ctx)
     ids = np.array([2, 4, 5])
     expected = expit(float(np.dot(emb[1], ctx[ids].mean(axis=0))))
     assert BastextScorer(vecs).score_all(ids)[1] == pytest.approx(expected, abs=1e-12)
@@ -73,7 +74,7 @@ def test_score_matches_scalar_oracle():
 def test_score_all_ranking_equals_dot_ranking():
     rng = np.random.default_rng(1)
     emb, ctx = rng.normal(size=(20, 5)), rng.normal(size=(20, 5))
-    vecs = M.ProductVectors(emb, ctx, np.zeros(20, bool))
+    vecs = M.ProductVectors(emb, ctx)
     scorer = BastextScorer(vecs)
     context = np.array([3, 7])
     probs = scorer.score_all(context)
@@ -326,6 +327,24 @@ def test_train_deterministic():
         assert np.array_equal(a.named_params()[k], b.named_params()[k])
 
 
+def test_finetune_tunes_a_copy_of_the_callers_table():
+    """Two identical fine-tuning runs from one table agree, and the table itself is unchanged."""
+    cat, baskets = make_random_corpus(30, 300, seed=8)
+    vocab = build_vocabulary(cat)
+    sp = split_warm(baskets, seed=1)
+    vectors = np.random.default_rng(0).normal(size=(vocab.size, 4)).astype(np.float32)
+    table = WordInputTable.pretrained(vectors.copy())
+    cfg = ModelConfig(k=8, negatives=2, batch_size=64, epochs=2, seed=0, patience=10,
+                      validation_sample=50, pretrained=True, finetune_pretrained=True)
+    a, _ = train(cfg, sp.train, sp.validation, cat, vocab, table)
+    b, _ = train(cfg, sp.train, sp.validation, cat, vocab, table)
+    assert np.array_equal(table.vectors, vectors)
+    assert not np.array_equal(a.table.vectors, vectors)  # the run's own copy was tuned
+    assert a.named_params().keys() == b.named_params().keys()
+    for k in a.named_params():
+        assert np.array_equal(a.named_params()[k], b.named_params()[k]), k
+
+
 def test_train_batch_consumes_expected_examples(monkeypatch):
     seen = []
     orig = M._loss_arrays
@@ -383,31 +402,31 @@ def test_training_step_keeps_parameter_dtype(tiny_catalog, tiny_vocab, tiny_toke
 # Materialization and serialization
 # ---------------------------------------------------------------------------
 
-def test_materialize_matches_per_product_calls(tiny_catalog, tiny_vocab, tiny_tokens):
+def test_materialize_matches_per_product_calls(tiny_catalog, tiny_vocab):
     from bastext.encoders import encode_batch
-    _, state = _small_state(tiny_vocab)
-    vecs = materialize_product_vectors(state, tiny_catalog)
-    for i, toks in enumerate(tiny_tokens):
-        assert np.allclose(vecs.embedding[i],
-                           encode_batch(state.params_e, state.table, [toks])[0][0],
-                           atol=1e-12)
-        assert np.allclose(vecs.context[i],
-                           encode_batch(state.params_c, state.table, [toks])[0][0],
-                           atol=1e-12)
+    for encoder in ("mov", "cnn"):
+        _, state = _small_state(tiny_vocab, encoder=encoder)
+        vecs = materialize_product_vectors(state, tiny_catalog)
+        for i, p in enumerate(tiny_catalog.products):
+            title = title_matrix([tiny_vocab.encode(p.tokens)], tiny_vocab.size)
+            assert np.allclose(vecs.embedding[i],
+                               encode_batch(state.params_e, state.table, title)[0][0],
+                               atol=1e-12)
+            assert np.allclose(vecs.context[i],
+                               encode_batch(state.params_c, state.table, title)[0][0],
+                               atol=1e-12)
 
 
-def test_materialize_flags_degenerate_title(tiny_vocab):
+def test_materialize_empty_title_is_zero_vector():
     from bastext.corpus import Catalog
     cat = Catalog()
     cat.add("a", "apple")
     cat.add("b", "")
     vocab = build_vocabulary(cat)
-    cfg = ModelConfig(k=4, seed=0)
-    state = init_model(cfg, vocab)
-    vecs = materialize_product_vectors(state, cat)
-    assert not vecs.degenerate[0]
-    assert vecs.degenerate[1]
-    assert not np.any(vecs.embedding[1])
+    for encoder in ("mov", "cnn"):
+        state = init_model(ModelConfig(k=4, seed=0, encoder=encoder, cnn_filters=3), vocab)
+        vecs = materialize_product_vectors(state, cat)
+        assert not np.any(vecs.embedding[1]) and not np.any(vecs.context[1]), encoder
 
 
 def test_save_load_round_trip(tmp_path):
