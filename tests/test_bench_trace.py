@@ -7,13 +7,17 @@ two `encode_batch` and two `backward_batch` calls inside every `_loss_arrays`)
 or when the train-layer metrics explain too little of the train wall time.
 This test runs the bench's own tracer and `layer_metrics` over ingest → split →
 train → evaluate → one query, and checks the first two. Coverage is not gated:
-on a corpus this small, fixed costs outside the traced layers dominate.
+on a corpus this small, fixed costs outside the traced layers dominate. It then
+runs the bench's own report check (`verify.check_reports`) and positive count
+(`pipeline.train_positives`) on the run directory, so a change to the basket or
+test-case interface that the bench reads fails here too.
 """
 
 import importlib.util
 import inspect
 import json
 import math
+import sys
 import time
 from pathlib import Path
 
@@ -21,6 +25,7 @@ import pytest
 
 import bastext
 from bastext import cli, corpus
+from bastext.baselines import PopModel
 from bastext.synthetic import make_planted_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,13 +33,24 @@ ROOT = Path(__file__).resolve().parents[1]
 NOT_FROM_SPANS = ("trace.overhead_share", ".peak_traced_mb")
 # The wrapped functions' arguments that the tracer's work counters read, by position.
 COUNTED = {"token_ids", "cand_ids", "ctx_flat", "basket_rows", "num_products"}
+# The methods the bench evaluates in every round, and `verify.check_reports` rebuilds.
+CHECKED = ("bastext", "pop", "itemknn")
+
+
+def _bench_module(name):
+    """`bench/<name>.py`, loaded under the name `bench_<name>` with `bench/` importable."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    return module
 
 
 def _bench_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _bench_module("tracer")
 
 
 def _positional(fn):
@@ -78,7 +94,7 @@ def test_traced_pipeline_reports_every_layer_metric(tmp_path, capsys, encoder, c
         ("split", ["split", *split]),
         ("train", ["train", *mode, "--encoder", encoder, "--k", "16", "--batch-size", "256",
                    "--epochs", "1"]),
-        ("evaluate:bastext", ["evaluate", *mode, "--method", "bastext"]),
+        *((f"evaluate:{m}", ["evaluate", *mode, "--method", m]) for m in CHECKED),
         ("similar", ["similar", catalog.external_ids()[0]]),
     ]
 
@@ -121,3 +137,17 @@ def test_traced_pipeline_reports_every_layer_metric(tmp_path, capsys, encoder, c
         rows = [s[5] for i, s in enumerate(spans) if s[0] == fn and s[4] == similar
                 and under(i, "model.materialize_product_vectors")]
         assert rows == [len(catalog)] * 2, fn
+
+    # The bench's own checks read the run directory through the program's interfaces.
+    errors, facts = _bench_module("verify").check_reports(tmp_path / "run", cold, CHECKED)
+    assert errors == []
+    assert facts["cases"] > 0
+    positives, num_products = _bench_module("pipeline").train_positives(tmp_path / "run", cold)
+    catalog_run, baskets_run, _ = corpus.import_dataset(
+        "canonical", [tmp_path / "run" / "corpus" / "catalog.tsv",
+                      tmp_path / "run" / "corpus" / "baskets.txt"])
+    split_run = corpus.load_split_manifest(
+        tmp_path / "run" / "splits" / f"{'cold' if cold else 'warm'}.manifest",
+        catalog_run, baskets_run)
+    pop = PopModel.fit(split_run.train, len(catalog_run))
+    assert (positives, num_products) == (pop.counts.sum(), len(catalog))
