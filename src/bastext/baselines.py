@@ -14,7 +14,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit
 
-from .corpus import Basket, basket_csr, leave_one_out
+from .corpus import Baskets, leave_one_out
 from .evaluation import ContextScorer, order_pool
 from .kernels import cosine_to_all, scatter_rows, segment_mean
 
@@ -27,9 +27,8 @@ class PopModel(ContextScorer):
         self.ranking = order_pool(counts, np.arange(len(counts)))
 
     @classmethod
-    def fit(cls, train_baskets: list[Basket], num_products: int) -> "PopModel":
-        flat = np.concatenate([b.product_ids for b in train_baskets])
-        return cls(np.bincount(flat, minlength=num_products).astype(np.int64))
+    def fit(cls, train_baskets: Baskets, num_products: int) -> "PopModel":
+        return cls(np.bincount(train_baskets.indices, minlength=num_products).astype(np.int64))
 
     @property
     def num_products(self) -> int:
@@ -58,9 +57,9 @@ class ItemKnnModel(ContextScorer):
         self.last_item_only = last_item_only
 
     @classmethod
-    def fit(cls, train_baskets: list[Basket], num_products: int,
+    def fit(cls, train_baskets: Baskets, num_products: int,
             last_item_only: bool = False) -> "ItemKnnModel":
-        indptr, indices = basket_csr(train_baskets)
+        indptr, indices = train_baskets.indptr, train_baskets.indices
         x = sparse.csr_matrix((np.ones(len(indices)), indices, indptr),
                               shape=(len(train_baskets), num_products))
         return cls((x.T @ x).tocsr(), last_item_only)
@@ -128,7 +127,7 @@ class Prod2vecModel(ContextScorer):
         return self.in_vecs.shape[0]
 
     @classmethod
-    def fit(cls, train_baskets: list[Basket], num_products: int,
+    def fit(cls, train_baskets: Baskets, num_products: int,
             config: Prod2vecConfig | None = None) -> "Prod2vecModel":
         cfg = config or Prod2vecConfig()
         rng = np.random.default_rng(cfg.seed)
@@ -136,8 +135,8 @@ class Prod2vecModel(ContextScorer):
         out_vecs = np.zeros((num_products, cfg.k), dtype=np.float64)
 
         # every ordered pair of distinct products within a basket, basket by basket
-        indptr, indices = basket_csr(train_baskets)
-        held, contexts, ctx_lens, _ = leave_one_out(indptr, indices, np.arange(len(indices)))
+        held, contexts, ctx_lens, _ = leave_one_out(
+            train_baskets.indptr, train_baskets.indices, np.arange(len(train_baskets.indices)))
         centers = np.repeat(held, ctx_lens)
         n_pairs = len(centers)
         total = cfg.epochs * n_pairs

@@ -24,10 +24,15 @@ from .encoders import EncoderError, encode_batch, load_pretrained_vectors
 from .kernels import cosine_to_all
 
 
+def _write(path: Path, text: str) -> None:
+    with corpus.atomic_write(path) as fh:
+        fh.write(text)
+
+
 def _echo_config(args: argparse.Namespace, path: Path) -> None:
     resolved = {k: (str(v) if isinstance(v, Path) else v) for k, v in vars(args).items()
                 if k != "func"}
-    path.write_text(json.dumps(resolved, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write(path, json.dumps(resolved, sort_keys=True, indent=2) + "\n")
 
 
 def _corpus_files(out: Path, *names: str) -> list[Path]:
@@ -56,9 +61,8 @@ def cmd_ingest(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     corpus.write_canonical(catalog, baskets, out / "catalog.tsv", out / "baskets.txt")
     _echo_config(args, out / "ingest_config.json")
-    sizes = [len(b) for b in baskets]
-    print(f"ingested {len(baskets)} baskets over {len(catalog)} products "
-          f"(mean size {np.mean(sizes):.2f}); dropped {stats.baskets_dropped_small} small "
+    print(f"ingested {len(baskets)} baskets over {len(catalog)} products (mean size "
+          f"{np.mean(np.diff(baskets.indptr)):.2f}); dropped {stats.baskets_dropped_small} small "
           f"baskets, {stats.products_dropped_empty_title} empty-title products, "
           f"skipped {stats.rows_skipped} malformed rows")
     return 0
@@ -82,7 +86,7 @@ def cmd_split(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     corpus.save_split_manifest(split, catalog, out / f"{split.mode}.manifest")
     _echo_config(args, out / f"{split.mode}_config.json")
-    cases = sum(len(b) for b in split.test) if split.mode == "warm" else len(
+    cases = len(split.test.indices) if split.mode == "warm" else len(
         evaluation.form_test_cases(split))
     print(f"{split.mode} split: {len(split.train)} train / {len(split.validation)} "
           f"validation / {len(split.test)} test baskets, {cases} test cases")
@@ -113,7 +117,7 @@ def cmd_train(args) -> int:
     state, lines = model.train(config, split.train, split.validation, catalog, vocab,
                                table, log=lambda s: print(s, flush=True))
     model.save_model(state, mdir / "model.bin")
-    (mdir / "train_log.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write(mdir / "train_log.txt", "\n".join(lines) + "\n")
     _echo_config(args, mdir / "train_config.json")
     print(f"model saved to {mdir / 'model.bin'} (encoder {config.encoder}, K={config.k}, "
           f"n={config.negatives})")
@@ -158,8 +162,8 @@ def cmd_evaluate(args) -> int:
                                  pool=args.pool, test_product_ids=split.test_product_ids)
     rdir = out / "reports"
     rdir.mkdir(parents=True, exist_ok=True)
-    (rdir / f"{args.method}.json").write_text(report.to_json(), encoding="utf-8")
-    (rdir / f"{args.method}.txt").write_text(report.to_table(), encoding="utf-8")
+    _write(rdir / f"{args.method}.json", report.to_json())
+    _write(rdir / f"{args.method}.txt", report.to_table())
     _echo_config(args, rdir / f"{args.method}_config.json")
     print(report.to_table(), end="")
     return 0

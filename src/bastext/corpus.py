@@ -2,16 +2,20 @@
 
 Raw transaction data (OnlineRetail-style CSV, Instacart relational CSVs, or the
 canonical tab/space-separated text formats) is normalized into a `Catalog` of
-products with dense ids plus a list of `Basket`s. Splitting supports a warm-start
-mode (every test product seen in training) and a cold-start mode (held-out test
-products never seen in training).
+products with dense ids plus `Baskets`: every basket as CSR arrays, basket r's
+sorted, unique product ids being `indices[indptr[r]:indptr[r + 1]]` and its
+source id `source_ids[r]`. A split's parts are row takes of them. Splitting
+supports a warm-start mode (every test product seen in training) and a
+cold-start mode (held-out test products never seen in training).
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import itertools
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,13 +38,48 @@ class Product:
     tokens: list[str]
 
 
-@dataclass
-class Basket:
-    product_ids: np.ndarray  # sorted, unique dense ids
-    source_id: str
+@dataclass(frozen=True, eq=False)
+class Baskets:
+    """Baskets as CSR arrays: basket r's sorted, unique product ids are
+    `indices[indptr[r]:indptr[r + 1]]`, and `source_ids[r]` names its source.
+
+    Iterating gives each basket's member array."""
+
+    indptr: np.ndarray  # (n + 1,) int64
+    indices: np.ndarray  # int64
+    source_ids: np.ndarray  # (n,) object array of str
+
+    @classmethod
+    def from_lists(cls, members, source_ids) -> Baskets:
+        """Baskets from one sorted, unique id sequence per basket."""
+        lens = np.fromiter(map(len, members), dtype=np.int64, count=len(members))
+        return cls(np.concatenate([[0], np.cumsum(lens)]),
+                   np.concatenate([np.zeros(0, dtype=np.int64), *members]),
+                   np.array(source_ids, dtype=object))
 
     def __len__(self) -> int:
-        return len(self.product_ids)
+        return len(self.indptr) - 1
+
+    def __iter__(self):
+        bounds = self.indptr.tolist()
+        return (self.indices[a:b] for a, b in zip(bounds, bounds[1:]))
+
+    def take(self, rows) -> Baskets:
+        """The baskets at `rows`, in that order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        sizes = np.diff(self.indptr)[rows]
+        indptr = np.concatenate([[0], np.cumsum(sizes)])
+        flat = np.repeat(self.indptr[rows] - indptr[:-1], sizes) + np.arange(indptr[-1])
+        return Baskets(indptr, self.indices[flat], self.source_ids[rows])
+
+    def restrict(self, allowed: np.ndarray) -> Baskets:
+        """Only the products in the boolean mask `allowed`; baskets left below size 2 go."""
+        keep = allowed[self.indices]
+        row = np.repeat(np.arange(len(self)), np.diff(self.indptr))
+        sizes = np.bincount(row[keep], minlength=len(self))
+        big = sizes >= 2
+        return Baskets(np.concatenate([[0], np.cumsum(sizes[big])]),
+                       self.indices[keep & big[row]], self.source_ids[big])
 
 
 class Catalog:
@@ -106,9 +145,9 @@ class Vocabulary:
 
 @dataclass
 class DatasetSplit:
-    train: list[Basket]
-    validation: list[Basket]
-    test: list[Basket]
+    train: Baskets
+    validation: Baskets
+    test: Baskets
     mode: str  # "warm" or "cold"
     seed: int
     test_product_ids: set[int] = field(default_factory=set)  # cold mode only
@@ -130,11 +169,12 @@ class CorpusError(RuntimeError):
 # Ingestion
 # ---------------------------------------------------------------------------
 
-def import_dataset(fmt: str, paths: list[str | Path]) -> tuple[Catalog, list[Basket], IngestStats]:
+def import_dataset(fmt: str, paths: list[str | Path]) -> tuple[Catalog, Baskets, IngestStats]:
     """Parse raw files into a catalog plus baskets.
 
     Duplicate products within one transaction collapse to a set; baskets that end
-    up with fewer than 2 products and products with empty titles are dropped, with
+    up with fewer than 2 products and products with empty titles are dropped, and
+    a canonical basket line naming an id without a catalog line is skipped, with
     the counts reported in `IngestStats`.
     """
     paths = [Path(p) for p in paths]
@@ -142,30 +182,29 @@ def import_dataset(fmt: str, paths: list[str | Path]) -> tuple[Catalog, list[Bas
         if not p.is_file():
             raise CorpusError(f"input file not found: {p}" if not p.exists()
                               else f"input path is not a file: {p}")
-    if fmt == "canonical":
-        raw = _read_canonical(paths)
-    elif fmt == "onlineretail":
-        raw = _read_onlineretail(paths)
-    elif fmt == "instacart":
-        raw = _read_instacart(paths)
-    else:
+    readers = {"canonical": _read_canonical, "onlineretail": _read_onlineretail,
+               "instacart": _read_instacart}
+    if fmt not in readers:
         raise CorpusError(f"unknown dataset format: {fmt!r}")
-
-    titles, transactions, skipped = raw
+    titles, members, lens, source_ids, skipped = readers[fmt](paths)
     catalog, dropped = _catalog_from_titles(titles)
-    stats = IngestStats(rows_skipped=skipped, products_dropped_empty_title=dropped)
-    keep = catalog._by_external
-    baskets: list[Basket] = []
-    for source_id, members in transactions:
-        ids = sorted({keep[m] for m in members if m in keep})
-        if len(ids) < 2:
-            stats.baskets_dropped_small += 1
-            continue
-        baskets.append(Basket(np.array(ids, dtype=np.int64), source_id))
-    stats.baskets_kept = len(baskets)
-    if not baskets:
+    # One lookup per member: its product id, -1 for a blank-title product, -2 for no title.
+    lookup = dict.fromkeys(titles, -1)
+    lookup.update(catalog._by_external)
+    ids = np.fromiter(map(lookup.get, members, itertools.repeat(-2)), dtype=np.int64,
+                      count=len(members))
+    row = np.repeat(np.arange(len(lens)), lens)
+    unknown = np.bincount(row[ids == -2], minlength=len(lens)) > 0
+    m = max(len(catalog), 1)
+    key = np.sort((row * m + ids)[(ids >= 0) & ~unknown[row]])  # np.unique hashes: 15x slower
+    row, ids = np.divmod(key[np.diff(key, prepend=-1) != 0], m)
+    baskets = Baskets(np.concatenate([[0], np.cumsum(np.bincount(row, minlength=len(lens)))]),
+                      ids, source_ids).restrict(np.ones(m, dtype=bool))
+    if not len(baskets):
         raise CorpusError("zero usable baskets after ingestion")
-    return catalog, baskets, stats
+    n_unknown = int(unknown.sum())
+    return catalog, baskets, IngestStats(len(baskets), len(lens) - n_unknown - len(baskets),
+                                         dropped, skipped + n_unknown)
 
 
 def read_catalog(path) -> Catalog:
@@ -219,12 +258,20 @@ def _read_titles(path: Path) -> tuple[dict[str, str], int]:
     return titles, skipped
 
 
+def _transactions(groups: dict[str, set[str]]):
+    """(members, lens, source_ids) of grouped transactions, in sorted source-id order."""
+    keys = sorted(groups)
+    lens = np.array([len(groups[k]) for k in keys], dtype=np.int64)
+    return [m for k in keys for m in groups[k]], lens, np.array(keys, dtype=object)
+
+
 def _read_canonical(paths: list[Path]):
     """One or two files: [baskets] or [catalog, baskets].
 
     The catalog file has one `externalId<TAB>title` per line. The baskets file has
-    one basket per line as space-separated externalIds. Without a catalog file,
-    titles default to the external id itself.
+    one basket per line as space-separated externalIds; line i is basket `b{i}`
+    and a blank line none. Without a catalog file, titles default to the external
+    id itself.
     """
     if len(paths) == 1:
         catalog_path, baskets_path = None, paths[0]
@@ -233,25 +280,14 @@ def _read_canonical(paths: list[Path]):
     else:
         raise CorpusError("canonical format takes 1 (baskets) or 2 (catalog, baskets) paths")
 
-    titles: dict[str, str] = {}
-    skipped = 0
-    if catalog_path is not None:
-        titles, skipped = _read_titles(catalog_path)
-    transactions = []
-    for i, line in enumerate(_read_lines(baskets_path)):
-        members = line.split()
-        if not members:
-            continue
-        if catalog_path is not None:
-            unknown = [m for m in members if m not in titles]
-            if unknown:
-                skipped += 1
-                continue
-        else:
-            for m in members:
-                titles.setdefault(m, m)
-        transactions.append((f"b{i}", members))
-    return titles, transactions, skipped
+    titles, skipped = _read_titles(catalog_path) if catalog_path is not None else ({}, 0)
+    rows = [line.split() for line in _read_lines(baskets_path)]
+    members = list(itertools.chain.from_iterable(rows))
+    if catalog_path is None:
+        titles = dict(zip(members, members))
+    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    source_ids = np.array([f"b{i}" for i in np.flatnonzero(lens).tolist()], dtype=object)
+    return titles, members, lens[lens > 0], source_ids, skipped
 
 
 def _find_column(header: list[str], *needles: str) -> int | None:
@@ -288,8 +324,7 @@ def _read_onlineretail(paths: list[Path]):
             ext = row[stock].strip()
             titles.setdefault(ext, row[desc].strip())
             groups.setdefault(row[inv].strip(), set()).add(ext)
-    transactions = [(invoice, sorted(members)) for invoice, members in sorted(groups.items())]
-    return titles, transactions, skipped
+    return titles, *_transactions(groups), skipped
 
 
 def _read_instacart(paths: list[Path]):
@@ -333,20 +368,35 @@ def _read_instacart(paths: list[Path]):
                 if len(row) <= max(oid, pid) or not row[oid].strip() or not row[pid].strip():
                     skipped += 1
                     continue
-                groups.setdefault(row[oid].strip(), set()).add(row[pid].strip())
-    transactions = [(oid, sorted(members)) for oid, members in sorted(groups.items())]
-    return titles, transactions, skipped
+                members = groups.setdefault(row[oid].strip(), set())
+                if row[pid].strip() in titles:  # a product without a title leaves its order
+                    members.add(row[pid].strip())
+    return titles, *_transactions(groups), skipped
 
 
-def write_canonical(catalog: Catalog, baskets: list[Basket], catalog_path, baskets_path) -> None:
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Write through a temporary file beside `path` that replaces `path` when the block
+    ends; if the block raises, the temporary file is removed and `path` is untouched."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_canonical(catalog: Catalog, baskets: Baskets, catalog_path, baskets_path) -> None:
     """Serialize to the canonical two-file format (round-trips through import_dataset)."""
-    with open(catalog_path, "w", encoding="utf-8") as fh:
-        for p in catalog.products:
-            fh.write(f"{p.external_id}\t{p.title}\n")
-    ext = catalog.external_ids()
-    with open(baskets_path, "w", encoding="utf-8") as fh:
-        for b in baskets:
-            fh.write(" ".join(ext[i] for i in b.product_ids) + "\n")
+    with atomic_write(catalog_path) as fh:
+        fh.writelines(f"{p.external_id}\t{p.title}\n" for p in catalog.products)
+    ext = np.array(catalog.external_ids(), dtype=object)[baskets.indices].tolist()
+    bounds = baskets.indptr.tolist()
+    with atomic_write(baskets_path) as fh:
+        fh.writelines(" ".join(ext[a:b]) + "\n" for a, b in zip(bounds, bounds[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -390,38 +440,19 @@ def encode_catalog(catalog: Catalog, vocab: Vocabulary) -> np.ndarray:
 # Splitting
 # ---------------------------------------------------------------------------
 
-def _partition(baskets: list[Basket], ratios, seed: int) -> tuple[list[Basket], list[Basket], list[Basket]]:
+def _partition(baskets: Baskets, ratios, seed: int) -> tuple[Baskets, Baskets, Baskets]:
     if len(ratios) != 3 or min(ratios) < 0 or abs(sum(ratios) - 1.0) > 1e-9:
         raise CorpusError(f"split ratios must be 3 nonnegative numbers summing to 1, got {ratios}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(baskets))
     n_train = int(round(ratios[0] * len(baskets)))
     n_val = int(round(ratios[1] * len(baskets)))
-    tr = [baskets[i] for i in perm[:n_train]]
-    va = [baskets[i] for i in perm[n_train:n_train + n_val]]
-    te = [baskets[i] for i in perm[n_train + n_val:]]
-    return tr, va, te
+    return (baskets.take(perm[:n_train]), baskets.take(perm[n_train:n_train + n_val]),
+            baskets.take(perm[n_train + n_val:]))
 
 
-def _product_mask(baskets: list[Basket], num_products: int) -> np.ndarray:
-    """Boolean mask over product ids: True for every product occurring in `baskets`."""
-    mask = np.zeros(num_products, dtype=bool)
-    mask[basket_csr(baskets)[1]] = True
-    return mask
-
-
-def _filter_to(baskets: list[Basket], allowed: np.ndarray) -> list[Basket]:
-    """Remove products outside the boolean mask `allowed`; drop baskets reduced below size 2."""
-    kept = []
-    for b in baskets:
-        ids = b.product_ids[allowed[b.product_ids]]
-        if len(ids) >= 2:
-            kept.append(Basket(ids, b.source_id))
-    return kept
-
-
-def _apply_split_filters(mode: str, train: list[Basket], validation: list[Basket],
-                         test: list[Basket], cold, num_products: int):
+def _apply_split_filters(mode: str, train: Baskets, validation: Baskets, test: Baskets, cold,
+                         num_products: int):
     """The one filtering rule of a split, applied to its raw basket partition.
 
     Warm: validation and test keep only products seen in training. Cold: training
@@ -429,28 +460,24 @@ def _apply_split_filters(mode: str, train: list[Basket], validation: list[Basket
     training, and test stays whole. Returns the filtered (train, validation, test).
     """
     if mode == "warm":
-        seen = _product_mask(train, num_products)
-        return train, _filter_to(validation, seen), _filter_to(test, seen)
+        seen = np.bincount(train.indices, minlength=num_products) > 0
+        return train, validation.restrict(seen), test.restrict(seen)
     allowed = np.ones(num_products, dtype=bool)
     allowed[np.array(list(cold), dtype=np.int64)] = False
-    train = _filter_to(train, allowed)
-    return train, _filter_to(validation, _product_mask(train, num_products)), test
+    train = train.restrict(allowed)
+    return train, validation.restrict(np.bincount(train.indices, minlength=num_products) > 0), test
 
 
-def _num_products(baskets: list[Basket]) -> int:
-    return int(basket_csr(baskets)[1].max()) + 1
-
-
-def split_warm(baskets: list[Basket], ratios=(0.85, 0.05, 0.10), seed: int = 0) -> DatasetSplit:
+def split_warm(baskets: Baskets, ratios=(0.85, 0.05, 0.10), seed: int = 0) -> DatasetSplit:
     """Random basket partition; validation/test baskets keep only products seen in training."""
     tr, va, te = _partition(baskets, ratios, seed)
     if not tr or not te:
         raise CorpusError("warm split produced an empty train or test set")
-    tr, va, te = _apply_split_filters("warm", tr, va, te, (), _num_products(baskets))
+    tr, va, te = _apply_split_filters("warm", tr, va, te, (), int(baskets.indices.max()) + 1)
     return DatasetSplit(tr, va, te, "warm", seed)
 
 
-def split_cold(baskets: list[Basket], ratios=(0.85, 0.05, 0.10),
+def split_cold(baskets: Baskets, ratios=(0.85, 0.05, 0.10),
                test_product_fraction: float = 0.10, seed: int = 0) -> DatasetSplit:
     """Hold a fraction of test-basket products out of training entirely.
 
@@ -465,8 +492,8 @@ def split_cold(baskets: list[Basket], ratios=(0.85, 0.05, 0.10),
     if not tr or not te:
         raise CorpusError("cold split produced an empty train or test set")
     rng = np.random.default_rng(seed + 1)
-    num_products = _num_products(baskets)
-    test_products = np.flatnonzero(_product_mask(te, num_products))
+    num_products = int(baskets.indices.max()) + 1
+    test_products = np.flatnonzero(np.bincount(te.indices, minlength=num_products))
     n_cold = int(round(test_product_fraction * len(test_products)))
     if n_cold < 10:
         raise CorpusError(
@@ -476,68 +503,67 @@ def split_cold(baskets: list[Basket], ratios=(0.85, 0.05, 0.10),
     return DatasetSplit(tr, va, te, "cold", seed, test_product_ids=cold)
 
 
+_PARTS = {"train": 0, "validation": 1, "test": 2}
+
+
 def save_split_manifest(split: DatasetSplit, catalog: Catalog, path) -> None:
     """Text manifest of sourceIds per split (plus mode/seed/cold products) for bit-exact reload."""
     ext = catalog.external_ids()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"mode\t{split.mode}\n")
-        fh.write(f"seed\t{split.seed}\n")
-        for name, part in (("train", split.train), ("validation", split.validation),
-                           ("test", split.test)):
-            for b in part:
-                fh.write(f"{name}\t{b.source_id}\n")
-        for pid in sorted(split.test_product_ids):
-            fh.write(f"testproduct\t{ext[pid]}\n")
+    with atomic_write(path) as fh:
+        fh.write(f"mode\t{split.mode}\nseed\t{split.seed}\n")
+        for name in _PARTS:
+            fh.writelines(f"{name}\t{s}\n" for s in getattr(split, name).source_ids)
+        fh.writelines(f"testproduct\t{ext[pid]}\n" for pid in sorted(split.test_product_ids))
 
 
-def load_split_manifest(path, catalog: Catalog, baskets: list[Basket]) -> DatasetSplit:
-    """Rebuild a split from its manifest by reapplying the deterministic filtering."""
+def load_split_manifest(path, catalog: Catalog, baskets: Baskets) -> DatasetSplit:
+    """Rebuild a split from its manifest by reapplying the deterministic filtering.
+
+    Basket lines become rows of `baskets` through one source-id lookup; the first
+    bad line of the file raises a `CorpusError` naming its line number.
+    """
     path = Path(path)
-    by_source = {b.source_id: b for b in baskets}
-    mode, seed = "warm", 0
-    parts: dict[str, list[Basket]] = {"train": [], "validation": [], "test": []}
-    cold: set[int] = set()
-    listed: set[str] = set()
-    for i, line in enumerate(_read_lines(path), 1):
-        key, _, value = line.partition("\t")
-        if key in parts:
-            if value not in by_source:
-                raise CorpusError(f"{path}:{i}: manifest references unknown basket {value!r}")
-            if value in listed:
-                raise CorpusError(f"{path}:{i}: basket {value!r} listed twice")
-            listed.add(value)
-            parts[key].append(by_source[value])
-        elif key == "testproduct":
-            pid = catalog.get(value)
-            if pid is None:
-                raise CorpusError(f"{path}:{i}: manifest references unknown product {value!r}")
-            cold.add(pid)
+    lines = _read_lines(path)
+    pairs = [line.partition("\t") for line in lines]
+    part = np.array([_PARTS.get(key, -1) for key, _, _ in pairs], dtype=np.int64)
+    listed = np.flatnonzero(part >= 0)
+    row_of = dict(zip(baskets.source_ids.tolist(), range(len(baskets))))
+    rows = np.array([row_of.get(pairs[i][2], -1) for i in listed.tolist()], dtype=np.int64)
+    order = np.argsort(rows, kind="stable")  # a row's later listings follow its first
+    bad = rows < 0
+    bad[order[1:][rows[order[1:]] == rows[order[:-1]]]] = True
+    first_bad = int(listed[bad][0]) if bad.any() else len(lines)
+    mode, seed, cold = "warm", 0, set()
+    for i in np.flatnonzero(part[:first_bad] < 0).tolist():
+        key, _, value = pairs[i]
+        if key == "testproduct":
+            if catalog.get(value) is None:
+                raise CorpusError(f"{path}:{i + 1}: manifest references unknown product {value!r}")
+            cold.add(catalog.get(value))
         elif key == "mode" and value in ("warm", "cold"):
             mode = value
         elif key == "seed":
             try:
                 seed = int(value)
             except ValueError:
-                raise CorpusError(f"{path}:{i}: split seed must be an integer, got {value!r}") from None
+                raise CorpusError(
+                    f"{path}:{i + 1}: split seed must be an integer, got {value!r}") from None
         else:
-            raise CorpusError(f"{path}:{i}: bad manifest line: {line!r}")
-    tr, va, te = _apply_split_filters(mode, parts["train"], parts["validation"], parts["test"],
-                                      cold, len(catalog))
+            raise CorpusError(f"{path}:{i + 1}: bad manifest line: {lines[i]!r}")
+    if first_bad < len(lines):
+        value = pairs[first_bad][2]
+        raise CorpusError(f"{path}:{first_bad + 1}: " + (
+            f"basket {value!r} listed twice" if value in row_of
+            else f"manifest references unknown basket {value!r}"))
+    tr, va, te = (baskets.take(rows[part[listed] == p]) for p in _PARTS.values())
+    tr, va, te = _apply_split_filters(mode, tr, va, te, cold, len(catalog))
     return DatasetSplit(tr, va, te, mode, seed,
                         test_product_ids=cold if mode == "cold" else set())
 
 
 # ---------------------------------------------------------------------------
-# Baskets as CSR arrays and leave-one-out cases
+# Leave-one-out cases
 # ---------------------------------------------------------------------------
-
-def basket_csr(baskets: list[Basket]) -> tuple[np.ndarray, np.ndarray]:
-    """Baskets as CSR arrays: basket r's members are `indices[indptr[r]:indptr[r + 1]]`."""
-    lens = np.array([len(b.product_ids) for b in baskets], dtype=np.int64)
-    indptr = np.concatenate([[0], np.cumsum(lens)])
-    indices = np.concatenate([np.zeros(0, dtype=np.int64)] + [b.product_ids for b in baskets])
-    return indptr, indices
-
 
 def leave_one_out(indptr: np.ndarray, indices: np.ndarray, pos: np.ndarray):
     """Hold out the member at each flat position `pos[i]`; the rest of its basket,

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import DatasetSplit, _read_lines, basket_csr, leave_one_out
+from .corpus import Baskets, DatasetSplit, _read_lines, leave_one_out
 from .kernels import EvalError, rank_block
 
 # Score entries per ranked block: a block holds max(1, BLOCK_ENTRIES // M) cases.
@@ -18,9 +18,45 @@ BLOCK_ENTRIES = 1 << 16
 
 @dataclass
 class TestCase:
+    """One case of `TestCases`: its context (a view) and held-out product."""
     context_ids: np.ndarray
     held_out_id: int
-    source_id: str
+
+
+@dataclass
+class TestCases:
+    """Leave-one-out cases as CSR: case i holds out `held[i]` from basket `rows[i]`,
+    and its context is `ctx_flat[indptr[i]:indptr[i + 1]]`.
+
+    An int index gives a `TestCase`, a slice (step 1) the `TestCases` of that range."""
+    held: np.ndarray
+    indptr: np.ndarray
+    ctx_flat: np.ndarray
+    rows: np.ndarray
+
+    @classmethod
+    def from_positions(cls, baskets: Baskets, pos) -> "TestCases":
+        """The cases holding out each flat position `pos[i]` of `baskets`' members."""
+        held, ctx_flat, ctx_lens, rows = leave_one_out(baskets.indptr, baskets.indices, pos)
+        return cls(held, np.concatenate([[0], np.cumsum(ctx_lens)]), ctx_flat, rows)
+
+    def __len__(self) -> int:
+        return len(self.held)
+
+    def __getitem__(self, key):
+        if not isinstance(key, slice):
+            i = range(len(self))[key]
+            return TestCase(self.ctx_flat[self.indptr[i]:self.indptr[i + 1]], int(self.held[i]))
+        start, stop, step = key.indices(len(self))
+        if step != 1:
+            raise IndexError("TestCases slices take step 1")
+        stop = max(start, stop)
+        ptr = self.indptr[start:stop + 1]
+        return TestCases(self.held[start:stop], ptr - ptr[0], self.ctx_flat[ptr[0]:ptr[-1]],
+                         self.rows[start:stop])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass
@@ -48,17 +84,15 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def form_test_cases(split: DatasetSplit) -> list[TestCase]:
+def form_test_cases(split: DatasetSplit) -> TestCases:
     """One case per (basket, held-out product) pair; cold mode restricts the
     held-out product to the designated test products. Empty-context cases are dropped."""
-    indptr, indices = basket_csr(split.test)
-    keep = np.repeat(np.diff(indptr) > 1, np.diff(indptr))
+    test, sizes = split.test, np.diff(split.test.indptr)
+    keep = np.repeat(sizes > 1, sizes)
     if split.mode == "cold":
-        keep &= np.isin(indices, list(split.test_product_ids))
-    held, ctx_flat, ctx_lens, rows = leave_one_out(indptr, indices, np.flatnonzero(keep))
-    ctxs = np.split(ctx_flat, np.cumsum(ctx_lens)[:-1])
-    cases = [TestCase(c, int(h), split.test[r].source_id) for h, c, r in zip(held, ctxs, rows)]
-    if not cases:
+        keep &= np.isin(test.indices, list(split.test_product_ids))
+    cases = TestCases.from_positions(test, np.flatnonzero(keep))
+    if not len(cases):
         raise EvalError("split yields zero test cases")
     return cases
 
@@ -106,8 +140,8 @@ class ContextScorer:
         return self.score_cases(np.array([0, len(ctx)]), ctx, np.zeros(1, dtype=np.int64))[0]
 
 
-def rank_cases(score_cases, num_products: int, held: np.ndarray, indptr: np.ndarray,
-               ctx_flat: np.ndarray, pool: np.ndarray | None = None) -> np.ndarray:
+def rank_cases(score_cases, num_products: int, cases: TestCases,
+               pool: np.ndarray | None = None) -> np.ndarray:
     """`rank_block` over every case, scored and ranked a block of cases at a time.
 
     `score_cases(indptr, ctx_flat, case_ids)` returns the block's scores; its
@@ -115,17 +149,16 @@ def rank_cases(score_cases, num_products: int, held: np.ndarray, indptr: np.ndar
     the block's case indices.
     """
     chunk = max(1, BLOCK_ENTRIES // num_products)
-    ranks = np.empty(len(held))
-    for start in range(0, len(held), chunk):
-        stop = min(start + chunk, len(held))
-        sub_ptr = indptr[start: stop + 1] - indptr[start]
-        sub_ctx = ctx_flat[indptr[start]: indptr[stop]]
-        block = score_cases(sub_ptr, sub_ctx, np.arange(start, stop))
-        ranks[start:stop] = rank_block(block, held[start:stop], sub_ptr, sub_ctx, pool)
+    ranks = np.empty(len(cases))
+    for start in range(0, len(cases), chunk):
+        block = cases[start: start + chunk]
+        stop = start + len(block)
+        scores = score_cases(block.indptr, block.ctx_flat, np.arange(start, stop))
+        ranks[start:stop] = rank_block(scores, block.held, block.indptr, block.ctx_flat, pool)
     return ranks
 
 
-def compute_ranks(scorer, test_cases: list[TestCase], pool: str = "all",
+def compute_ranks(scorer, test_cases: TestCases, pool: str = "all",
                   test_product_ids=None) -> np.ndarray:
     """1-based rank of every case's held-out product (inf when outside the pool).
 
@@ -139,15 +172,10 @@ def compute_ranks(scorer, test_cases: list[TestCase], pool: str = "all",
         mask[list(test_product_ids)] = True
     else:
         raise EvalError(f"unknown candidate pool {pool!r}")
-    lens = np.array([len(c.context_ids) for c in test_cases], dtype=np.int64)
-    indptr = np.concatenate([[0], np.cumsum(lens)])
-    ctx_flat = np.concatenate([np.zeros(0, dtype=np.int64)]
-                              + [c.context_ids for c in test_cases])
-    held = np.array([c.held_out_id for c in test_cases], dtype=np.int64)
-    return rank_cases(scorer.score_cases, scorer.num_products, held, indptr, ctx_flat, mask)
+    return rank_cases(scorer.score_cases, scorer.num_products, test_cases, mask)
 
 
-def evaluate(scorer, test_cases: list[TestCase], ns=(10, 20), method: str = "model",
+def evaluate(scorer, test_cases: TestCases, ns=(10, 20), method: str = "model",
              mode: str = "warm", pool: str = "all", test_product_ids=None) -> EvalReport:
     """Rank every test case and aggregate Recall@N / MRR@N."""
     if min(ns) < 1:

@@ -19,10 +19,10 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 from scipy.special import expit
 
-from .corpus import Basket, Catalog, Vocabulary, basket_csr, encode_catalog, leave_one_out
+from .corpus import Baskets, Catalog, Vocabulary, atomic_write, encode_catalog, leave_one_out
 from .encoders import (CnnParams, MovParams, WordInputTable, backward_batch,
                        encode_batch, init_cnn, init_mov)
-from .evaluation import ContextScorer, rank_cases
+from .evaluation import ContextScorer, TestCases, rank_cases
 from .kernels import scatter_rows, segment_mean
 
 MODEL_MAGIC = b"BSTX"
@@ -263,27 +263,16 @@ def _sample_negative_matrix(basket_rows: np.ndarray, member_keys: np.ndarray,
         flat[bad] = rng.integers(0, num_products, size=len(bad))
 
 
-def _validation_cases(validation: list[Basket], sample: int, seed: int):
-    indptr, indices = basket_csr(validation)
-    pos = np.arange(len(indices))
-    rng = np.random.default_rng(seed + 9173)
-    if len(pos) > sample:
-        pos = np.sort(rng.choice(len(pos), size=sample, replace=False))
-    held, ctx_flat, ctx_lens, _ = leave_one_out(indptr, indices, pos)
-    return held, np.concatenate([[0], np.cumsum(ctx_lens)]), ctx_flat
-
-
-def _validation_recall(state: ModelState, catalog: Catalog, cases, n: int = 20) -> float:
-    """Recall@n of the raw logits over `cases` = (held, indptr, ctx_flat)."""
-    held, indptr, ctx_flat = cases
-    if not len(held):
+def _validation_recall(state: ModelState, catalog: Catalog, cases: TestCases, n=20) -> float:
+    """Recall@n of the raw logits over `cases`."""
+    if not len(cases):
         return float("nan")
     scorer = BastextScorer(materialize_product_vectors(state, catalog))
-    ranks = rank_cases(scorer.logits, len(catalog), held, indptr, ctx_flat)
-    return int(np.count_nonzero(ranks <= n)) / len(held)
+    ranks = rank_cases(scorer.logits, len(catalog), cases)
+    return int(np.count_nonzero(ranks <= n)) / len(cases)
 
 
-def train(config: ModelConfig, train_baskets: list[Basket], validation_baskets: list[Basket],
+def train(config: ModelConfig, train_baskets: Baskets, validation_baskets: Baskets,
           catalog: Catalog, vocab: Vocabulary, table: WordInputTable | None = None,
           log=None) -> tuple[ModelState, list[str]]:
     """Train the model; returns the best-validation state plus a per-epoch log.
@@ -299,7 +288,7 @@ def train(config: ModelConfig, train_baskets: list[Basket], validation_baskets: 
     token_ids = encode_catalog(catalog, vocab)
     num_products = len(catalog)
 
-    indptr, indices = basket_csr(train_baskets)
+    indptr, indices = train_baskets.indptr, train_baskets.indices
     if np.diff(indptr).max() >= num_products:
         raise ModelError("a training basket holds every catalog product; "
                          "no negative can be sampled for it")
@@ -307,7 +296,10 @@ def train(config: ModelConfig, train_baskets: list[Basket], validation_baskets: 
                           * num_products + indices)
     n_pos = len(indices)
 
-    val_cases = _validation_cases(validation_baskets, config.validation_sample, config.seed)
+    pos, sample = np.arange(len(validation_baskets.indices)), config.validation_sample
+    if len(pos) > sample:  # a fixed sample of the validation cases
+        pos = np.sort(np.random.default_rng(config.seed + 9173).choice(len(pos), sample, False))
+    val_cases = TestCases.from_positions(validation_baskets, pos)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     lines: list[str] = []
     best = (-np.inf, None)
@@ -344,15 +336,15 @@ def train(config: ModelConfig, train_baskets: list[Basket], validation_baskets: 
         if log is not None:
             log(line)
         score_now = recall if np.isfinite(recall) else -mean_loss
-        if score_now > best[0]:
-            best = (score_now, copy.deepcopy((state.params_e, state.params_c, state.bias)))
+        if score_now > best[0]:  # every tensor Adam tunes, a fine-tuned table included
+            best = (score_now, {k: p.copy() for k, p in state.named_params().items()})
             stale = 0
         else:
             stale += 1
             if stale >= config.patience:
                 break
-    if best[1] is not None:
-        state.params_e, state.params_c, state.bias = best[1]
+    for name, p in state.named_params().items():
+        p[...] = best[1][name]
     return state, lines
 
 
@@ -378,7 +370,7 @@ def save_model(state: ModelState, path) -> None:
         "tensors": [{"name": n, "shape": list(tensors[n].shape)} for n in names],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<I", MODEL_VERSION))
         fh.write(struct.pack("<Q", len(blob)))
@@ -446,12 +438,8 @@ def _decode_model(data: bytes, hlen: int, path) -> ModelState:
                          tensors[f"{prefix}/proj"], tensors[f"{prefix}/proj_bias"])
 
     bias = tensors.get("bias", np.zeros(1, dtype=np.float32))
-    state = ModelState(config, vocab, table, unpack("E"), unpack("C"), bias,
-                       {}, {}, 0, header["catalog_hash"])
-    for name, p in state.named_params().items():
-        state.adam_m[name] = np.zeros_like(p)
-        state.adam_v[name] = np.zeros_like(p)
-    return state
+    return ModelState(config, vocab, table, unpack("E"), unpack("C"), bias,
+                      {}, {}, 0, header["catalog_hash"])  # no Adam moments: only `train` tunes
 
 
 def check_catalog_hash(state: ModelState, catalog: Catalog) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import Basket, Catalog
+from .corpus import Baskets, Catalog
 
 # Default partition of each community into co-purchase groups. A mix of a few
 # group sizes keeps every group large enough to fill a basket while keeping
@@ -52,11 +52,9 @@ def make_planted_corpus(num_products: int = 200, num_communities: int = 2,
                 pid += 1
             groups.append(np.array(members, dtype=np.int64))
 
-    baskets = []
-    for i in range(num_baskets):
-        grp = groups[rng.integers(len(groups))]
-        members = np.sort(rng.choice(grp, size=basket_size, replace=False))
-        baskets.append(Basket(members, f"s{i}"))
+    members = [np.sort(rng.choice(groups[rng.integers(len(groups))], size=basket_size,
+                                  replace=False)) for _ in range(num_baskets)]
+    baskets = Baskets.from_lists(members, [f"s{i}" for i in range(num_baskets)])
     return catalog, baskets, community, groups
 
 
@@ -68,9 +66,6 @@ def make_random_corpus(num_products: int, num_baskets: int, max_basket: int = 8,
     for p in range(num_products):
         words = " ".join(f"w{rng.integers(num_products)}" for _ in range(3))
         catalog.add(f"p{p}", words)
-    baskets = []
-    for i in range(num_baskets):
-        size = int(rng.integers(2, max_basket + 1))
-        members = np.sort(rng.choice(num_products, size=size, replace=False))
-        baskets.append(Basket(members.astype(np.int64), f"s{i}"))
-    return catalog, baskets
+    members = [np.sort(rng.choice(num_products, size=int(rng.integers(2, max_basket + 1)),
+                                  replace=False)) for _ in range(num_baskets)]
+    return catalog, Baskets.from_lists(members, [f"s{i}" for i in range(num_baskets)])

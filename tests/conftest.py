@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from bastext.corpus import (Basket, Catalog, basket_csr, build_vocabulary, encode_catalog,
-                            leave_one_out)
+from bastext.corpus import Baskets, Catalog, build_vocabulary, encode_catalog, leave_one_out
 from bastext.model import _sample_negative_matrix
 
 
@@ -17,12 +16,16 @@ def tiny_catalog():
     return cat
 
 
+def make_baskets(*members, source_ids=None):
+    """`Baskets` from one id list per basket (sorted here), named s0, s1, ... by default."""
+    return Baskets.from_lists([sorted(m) for m in members],
+                              source_ids or [f"s{i}" for i in range(len(members))])
+
+
 @pytest.fixture
 def tiny_baskets():
-    def b(ids, s):
-        return Basket(np.array(sorted(ids), dtype=np.int64), s)
-    return [b([0, 1], "t0"), b([0, 1, 4], "t1"), b([2, 3], "t2"),
-            b([2, 3, 4], "t3"), b([0, 2], "t4")]
+    return make_baskets([0, 1], [0, 1, 4], [2, 3], [2, 3, 4], [0, 2],
+                        source_ids=["t0", "t1", "t2", "t3", "t4"])
 
 
 @pytest.fixture
@@ -41,7 +44,7 @@ def loss_batch():
     batch that holds out each basket's first member, assembled as `train` assembles them:
     `leave_one_out` positives, then `_sample_negative_matrix` negatives sharing their context."""
     def build(baskets, n_neg, num_products, rng):
-        indptr, indices = basket_csr(baskets)
+        indptr, indices = baskets.indptr, baskets.indices
         keys = np.sort(np.repeat(np.arange(len(baskets)), np.diff(indptr)) * num_products
                        + indices)
         cands, ctx_flat, ctx_lens, rows = leave_one_out(indptr, indices, indptr[:-1])

@@ -26,7 +26,7 @@ import pytest
 import bastext.model as M
 from bastext import cli
 from bastext.baselines import ItemKnnModel, PopModel, Prod2vecModel, Prod2vecConfig
-from bastext.corpus import (Basket, build_vocabulary, import_dataset, split_cold, split_warm,
+from bastext.corpus import (Baskets, build_vocabulary, import_dataset, split_cold, split_warm,
                             title_matrix, write_canonical)
 from bastext.encoders import WordInputTable
 from bastext.evaluation import (evaluate, form_test_cases, mrr_at_n, rank_candidates,
@@ -124,8 +124,8 @@ def test_criterion_1_gradients(loss_batch):
                     prm.biases[w][:] = rng.normal(0, 0.3, size=prm.biases[w].shape)
                 prm.proj_bias[:] = rng.normal(0, 0.3, size=prm.proj_bias.shape)
         for trial in range(10):
-            baskets = [Basket(np.sort(rng.choice(12, size=3, replace=False)), "s")
-                       for _ in range(3)]
+            baskets = Baskets.from_lists(
+                [np.sort(rng.choice(12, size=3, replace=False)) for _ in range(3)], ["s"] * 3)
             batch = loss_batch(baskets, 2, 12, rng)
             _, grads = M._loss_arrays(state, titles, *batch, False, None)
             eps = 1e-4
@@ -179,7 +179,7 @@ def test_criterion_2_planted_recovery(planted, planted_warm_model):
 def _dense_knn_oracle(baskets, num_products, context_ids):
     x = np.zeros((len(baskets), num_products))
     for r, b in enumerate(baskets):
-        x[r, b.product_ids] = 1.0
+        x[r, b] = 1.0
     c = x.T @ x
     norms = np.linalg.norm(c, axis=1)
     normalized = np.divide(c, norms[:, None], out=np.zeros_like(c),
@@ -197,7 +197,7 @@ def test_criterion_3_baseline_oracles():
         pop = PopModel.fit(baskets, num_products)
         counts = np.zeros(num_products, dtype=np.int64)
         for b in baskets:
-            counts[b.product_ids] += 1
+            counts[b] += 1
         pop_exact &= list(pop.ranking) == sorted(range(num_products),
                                                  key=lambda i: (-counts[i], i))
         for _ in range(20):
@@ -238,19 +238,19 @@ def test_criterion_4_metrics():
 def _warm_invariant(split) -> bool:
     train_products = set()
     for b in split.train:
-        train_products.update(b.product_ids.tolist())
+        train_products.update(b.tolist())
     return all(int(p) in train_products
                for part in (split.validation, split.test) for b in part
-               for p in b.product_ids)
+               for p in b)
 
 
 def _cold_invariant(split) -> bool:
     train_products = set()
     for b in split.train:
-        train_products.update(b.product_ids.tolist())
+        train_products.update(b.tolist())
     test_products = set()
     for b in split.test:
-        test_products.update(b.product_ids.tolist())
+        test_products.update(b.tolist())
     cold = split.test_product_ids
     return not (cold & train_products) and cold <= test_products
 

@@ -3,13 +3,10 @@ import pytest
 
 from bastext.baselines import (ItemKnnModel, PopModel, Prod2vecConfig, Prod2vecModel,
                                sgns_batch_grads)
-from bastext.corpus import Basket
 from bastext.kernels import scatter_rows
 from bastext.synthetic import make_planted_corpus, make_random_corpus
 
-
-def _b(ids, s):
-    return Basket(np.array(sorted(ids), dtype=np.int64), s)
+from conftest import make_baskets
 
 
 # ---------------------------------------------------------------------------
@@ -17,14 +14,14 @@ def _b(ids, s):
 # ---------------------------------------------------------------------------
 
 def test_pop_count_ranking():
-    baskets = [_b([0, 1], "a"), _b([0, 1], "b"), _b([0, 2], "c")]
+    baskets = make_baskets([0, 1], [0, 1], [0, 2])
     pop = PopModel.fit(baskets, 4)
     assert list(pop.counts) == [3, 2, 1, 0]
     assert list(pop.ranking) == [0, 1, 2, 3]
 
 
 def test_pop_tie_break_ascending_id():
-    baskets = [_b([2, 3], "a"), _b([0, 1], "b")]
+    baskets = make_baskets([2, 3], [0, 1])
     pop = PopModel.fit(baskets, 5)
     # all of 0..3 counted once, 4 unseen; ties resolve by id
     assert list(pop.ranking) == [0, 1, 2, 3, 4]
@@ -43,7 +40,7 @@ def test_pop_matches_bincount_oracle():
     pop = PopModel.fit(baskets, 40)
     manual = np.zeros(40, dtype=np.int64)
     for b in baskets:
-        for p in b.product_ids:
+        for p in b:
             manual[p] += 1
     assert np.array_equal(pop.counts, manual)
     assert pop.ranking[0] == np.flatnonzero(manual == manual.max())[0]
@@ -56,7 +53,7 @@ def test_pop_matches_bincount_oracle():
 def _dense_knn_oracle(baskets, num_products, context_ids):
     x = np.zeros((len(baskets), num_products))
     for r, b in enumerate(baskets):
-        x[r, b.product_ids] = 1.0
+        x[r, b] = 1.0
     c = x.T @ x
     norms = np.linalg.norm(c, axis=1)
     normalized = np.divide(c, norms[:, None], out=np.zeros_like(c), where=norms[:, None] > 0)
@@ -66,14 +63,14 @@ def _dense_knn_oracle(baskets, num_products, context_ids):
 def test_itemknn_hand_example():
     # baskets {a,b},{a,b},{a,c}: cooc(a,b)=2, cooc(a,c)=1 -> for context {b},
     # a must outrank c
-    baskets = [_b([0, 1], "x"), _b([0, 1], "y"), _b([0, 2], "z")]
+    baskets = make_baskets([0, 1], [0, 1], [0, 2])
     knn = ItemKnnModel.fit(baskets, 3)
     scores = knn.score_all(np.array([1]))
     assert scores[0] > scores[2]
 
 
 def test_itemknn_no_cooccurrence_scores_zero():
-    baskets = [_b([0, 1], "x")]
+    baskets = make_baskets([0, 1])
     knn = ItemKnnModel.fit(baskets, 4)
     scores = knn.score_all(np.array([0]))
     assert scores[3] == 0.0
@@ -91,7 +88,7 @@ def test_itemknn_matches_dense_oracle():
 
 
 def test_itemknn_last_item_mode():
-    baskets = [_b([0, 1], "x"), _b([1, 2], "y"), _b([0, 3], "z")]
+    baskets = make_baskets([0, 1], [1, 2], [0, 3])
     full = ItemKnnModel.fit(baskets, 4)
     last = ItemKnnModel.fit(baskets, 4, last_item_only=True)
     ctx = np.array([0, 2])

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bastext.corpus import (Basket, Catalog, CorpusError, basket_csr, build_vocabulary,
+from bastext.corpus import (Catalog, CorpusError, IngestStats, atomic_write, build_vocabulary,
                             encode_catalog, import_dataset, leave_one_out, load_split_manifest,
                             read_catalog, save_split_manifest, split_cold, split_warm,
                             title_matrix, tokenize, write_canonical)
-from bastext.model import _sample_negative_matrix
+from bastext.model import ModelConfig, _sample_negative_matrix, init_model, save_model
 from bastext.synthetic import make_random_corpus
+
+from conftest import make_baskets
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +130,7 @@ def test_canonical_duplicates_collapse(tmp_path):
     _, baskets, _ = import_dataset(
         "canonical", [tmp_path / "catalog.tsv", tmp_path / "baskets.txt"])
     assert len(baskets) == 1
-    assert list(baskets[0].product_ids) == [0, 1]
+    assert baskets.indices.tolist() == [0, 1]
 
 
 def test_onlineretail_ingest(tmp_path):
@@ -193,7 +195,91 @@ def test_canonical_round_trip(tmp_path):
     assert cat2.external_ids() == cat.external_ids()
     assert len(baskets2) == len(baskets)
     for x, y in zip(baskets, baskets2):
-        assert np.array_equal(x.product_ids, y.product_ids)
+        assert np.array_equal(x, y)
+
+
+def _reference_canonical(paths):
+    """The per-line canonical reader that `import_dataset` replaced, kept as its reference:
+    (external ids, [(source id, sorted ids)], stats), or None for zero usable baskets."""
+    def lines(path):
+        return path.read_bytes().decode("utf-8").splitlines()
+
+    titles, skipped = {}, 0
+    if len(paths) == 2:
+        for line in lines(paths[0]):
+            if not line.strip():
+                continue
+            if "\t" not in line:
+                skipped += 1
+                continue
+            ext, title = line.split("\t", 1)
+            titles[ext] = title
+    transactions = []
+    for i, line in enumerate(lines(paths[-1])):
+        members = line.split()
+        if not members:
+            continue
+        if len(paths) == 2:
+            if [m for m in members if m not in titles]:
+                skipped += 1
+                continue
+        else:
+            for m in members:
+                titles.setdefault(m, m)
+        transactions.append((f"b{i}", members))
+    keep = {}
+    for ext, title in titles.items():
+        if title.strip():
+            keep[ext] = len(keep)
+    stats = IngestStats(rows_skipped=skipped,
+                        products_dropped_empty_title=len(titles) - len(keep))
+    baskets = []
+    for source_id, members in transactions:
+        ids = sorted({keep[m] for m in members if m in keep})
+        if len(ids) < 2:
+            stats.baskets_dropped_small += 1
+            continue
+        baskets.append((source_id, ids))
+    stats.baskets_kept = len(baskets)
+    return (list(keep), baskets, stats) if baskets else None
+
+
+_IDS = ["p0", "p1", "p2", "p3", "p4", "p5"]
+_TITLED_LINES = st.one_of(
+    st.tuples(st.sampled_from(_IDS), st.sampled_from(["tea", "green tea", "", "  ", "rye 9"]))
+    .map("\t".join),
+    st.sampled_from(["", "   ", "no-tab"]))
+_BASKET_LINES = st.one_of(
+    st.lists(st.sampled_from(_IDS + ["pX"]), max_size=6).map(" ".join),
+    st.lists(st.sampled_from(_IDS), min_size=1, max_size=6).map("\t ".join),
+    st.sampled_from(["", "  "]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_TITLED_LINES, max_size=10), st.lists(_BASKET_LINES, max_size=12),
+       st.sampled_from(["\n", "\r\n"]), st.booleans())
+def test_import_dataset_matches_reference_reader(tmp_path_factory, catalog_lines, basket_lines,
+                                                 newline, with_catalog):
+    """Blank lines, CRLF, repeated members, unknown ids (line skipped and counted),
+    blank-title products (member dropped, line kept), single-member baskets and
+    repeated catalog ids: CSR arrays, source ids and stats equal the reference's."""
+    d = tmp_path_factory.mktemp("canonical")
+    (d / "catalog.tsv").write_bytes(newline.join(catalog_lines + [""]).encode())
+    (d / "baskets.txt").write_bytes(newline.join(basket_lines + [""]).encode())
+    paths = [d / "catalog.tsv", d / "baskets.txt"][0 if with_catalog else 1:]
+    want = _reference_canonical(paths)
+    if want is None:
+        with pytest.raises(CorpusError, match="zero usable baskets"):
+            import_dataset("canonical", paths)
+        return
+    catalog, baskets, stats = import_dataset("canonical", paths)
+    ext, rows, want_stats = want
+    assert catalog.external_ids() == ext
+    assert baskets.source_ids.tolist() == [s for s, _ in rows]
+    assert baskets.indptr.tolist() == np.cumsum([0] + [len(ids) for _, ids in rows]).tolist()
+    assert baskets.indices.tolist() == [i for _, ids in rows for i in ids]
+    assert baskets.indptr.dtype == baskets.indices.dtype == np.int64
+    assert stats == want_stats
 
 
 # ---------------------------------------------------------------------------
@@ -201,23 +287,21 @@ def test_canonical_round_trip(tmp_path):
 # ---------------------------------------------------------------------------
 
 def _products_in(baskets):
-    if not baskets:
-        return set()
-    return set(np.concatenate([b.product_ids for b in baskets]).tolist())
+    return set(baskets.indices.tolist())
 
 
 def test_split_warm_invariant_small(tiny_baskets):
     sp = split_warm(tiny_baskets, ratios=(0.6, 0.2, 0.2), seed=1)
     train_products = _products_in(sp.train)
-    for b in sp.test + sp.validation:
-        for p in b.product_ids:
+    for b in [*sp.test, *sp.validation]:
+        for p in b:
             assert int(p) in train_products
 
 
 def test_split_warm_partition_disjoint():
     _, baskets = make_random_corpus(30, 200, seed=2)
     sp = split_warm(baskets, seed=0)
-    ids = [b.source_id for b in sp.train + sp.validation + sp.test]
+    ids = [s for part in (sp.train, sp.validation, sp.test) for s in part.source_ids]
     assert len(ids) == len(set(ids))
 
 
@@ -226,7 +310,7 @@ def test_split_warm_deterministic():
     a = split_warm(baskets, seed=5)
     b = split_warm(baskets, seed=5)
     for xs, ys in ((a.train, b.train), (a.validation, b.validation), (a.test, b.test)):
-        assert [x.source_id for x in xs] == [y.source_id for y in ys]
+        assert xs.source_ids.tolist() == ys.source_ids.tolist()
 
 
 def test_split_warm_removal_matches_set_difference_oracle():
@@ -235,7 +319,7 @@ def test_split_warm_removal_matches_set_difference_oracle():
     # brute-force: which products of the raw partition's test baskets are not in training?
     train_products = _products_in(sp.train)
     for b in sp.test:
-        assert set(b.product_ids.tolist()) <= train_products
+        assert set(b.tolist()) <= train_products
 
 
 def test_split_cold_zero_overlap():
@@ -271,10 +355,9 @@ def test_split_manifest_round_trip(tmp_path_factory, num_products, num_baskets, 
         assert back.test_product_ids == sp.test_product_ids
         for xs, ys in ((sp.train, back.train), (sp.validation, back.validation),
                        (sp.test, back.test)):
-            assert [x.source_id for x in xs] == [y.source_id for y in ys]
-            for x, y in zip(xs, ys):
-                assert np.array_equal(x.product_ids, y.product_ids)
-                assert x.product_ids.dtype == y.product_ids.dtype
+            assert xs.source_ids.tolist() == ys.source_ids.tolist()
+            for x, y in ((xs.indptr, ys.indptr), (xs.indices, ys.indices)):
+                assert np.array_equal(x, y) and x.dtype == y.dtype == np.int64
 
 
 @pytest.mark.parametrize("part", ["train", "test"], ids=["same-part", "two-parts"])
@@ -285,11 +368,77 @@ def test_manifest_basket_listed_twice_fatal(tmp_path, part):
     path = tmp_path / "warm.manifest"
     save_split_manifest(sp, cat, path)
     lines = path.read_text().splitlines()
-    dup = sp.train[0].source_id
+    dup = sp.train.source_ids[0]
     path.write_text("\n".join(lines + [f"{part}\t{dup}"]) + "\n")
     with pytest.raises(CorpusError, match=f"warm.manifest:{len(lines) + 1}: basket "
                                           f"'{dup}' listed twice"):
         load_split_manifest(path, cat, baskets)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("train\tnope", "manifest references unknown basket 'nope'"),
+    ("test\t{dup}", "basket '{dup}' listed twice"),
+    ("testproduct\tnope", "manifest references unknown product 'nope'"),
+    ("trian\t{dup}", "bad manifest line: 'trian\\t{dup}'"),
+    ("", "bad manifest line: ''"),
+    ("seed\tabc", "split seed must be an integer, got 'abc'"),
+], ids=["unknown-basket", "listed-twice", "unknown-product", "bad-line", "blank-line",
+        "bad-seed"])
+def test_manifest_error_names_first_bad_line(tmp_path, bad, message):
+    """Each bad line raises a `CorpusError` with its line number, and the first bad line
+    of the file wins over a later one of another kind."""
+    cat, baskets = make_random_corpus(30, 200, seed=0)
+    sp = split_warm(baskets, seed=0)
+    path = tmp_path / "warm.manifest"
+    save_split_manifest(sp, cat, path)
+    lines = path.read_text().splitlines()
+    dup = sp.train.source_ids[0]
+    at = 5  # 1-based line number of the bad line, among the train lines
+    lines = lines[:at - 1] + [bad.format(dup=dup)] + lines[at - 1:] + ["train\tlater-bad"]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusError) as err:
+        load_split_manifest(path, cat, baskets)
+    assert str(err.value) == f"{path}:{at}: {message.format(dup=dup)}"
+
+
+def _bad_tensor_state():
+    state = init_model(ModelConfig(k=2, epochs=1), build_vocabulary(_two_product_catalog()))
+    state.params_c.W = np.array([["not a number"]])  # fails after the header is written
+    return state
+
+
+def _two_product_catalog():
+    cat = Catalog()
+    cat.add("a", "red tea")
+    cat.add("b", "green tea")
+    return cat
+
+
+def _manifest_with_unknown_test_product(path):
+    sp = split_warm(make_baskets(*[[0, 1]] * 20), seed=0)
+    sp.test_product_ids = {7}  # no external id: fails after the basket lines are written
+    save_split_manifest(sp, _two_product_catalog(), path)
+
+
+def _raise_midway(path):
+    with atomic_write(path) as fh:
+        fh.write("new, partial\n")
+        raise RuntimeError("interrupted")
+
+
+@pytest.mark.parametrize("write", [
+    _raise_midway,
+    _manifest_with_unknown_test_product,
+    lambda path: save_model(_bad_tensor_state(), path),
+], ids=["atomic_write", "save_split_manifest", "save_model"])
+def test_interrupted_write_keeps_old_file(tmp_path, write):
+    """A write that raises midway leaves the old file intact and no temporary file."""
+    path = tmp_path / "artifact"
+    path.write_bytes(b"old contents\n")
+    with pytest.raises((RuntimeError, IndexError, ValueError)):
+        write(path)
+    assert path.read_bytes() == b"old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
 
 
 # ---------------------------------------------------------------------------
@@ -301,17 +450,16 @@ def test_manifest_basket_listed_twice_fatal(tmp_path, part):
                 min_size=1, max_size=8),
        st.data())
 def test_leave_one_out_matches_per_basket_delete(members, data):
-    baskets = [Basket(np.array(sorted(m), dtype=np.int64), f"s{i}")
-               for i, m in enumerate(members)]
-    indptr, indices = basket_csr(baskets)
-    slots = [(r, k) for r, b in enumerate(baskets) for k in range(len(b))]
+    baskets = make_baskets(*members)
+    rows_of = list(baskets)
+    slots = [(r, k) for r, b in enumerate(rows_of) for k in range(len(b))]
     pos = np.array(data.draw(st.lists(st.integers(0, len(slots) - 1), max_size=20)),
                    dtype=np.int64)
-    held, ctx_flat, ctx_lens, rows = leave_one_out(indptr, indices, pos)
+    held, ctx_flat, ctx_lens, rows = leave_one_out(baskets.indptr, baskets.indices, pos)
     expected = [slots[p] for p in pos]
     assert rows.tolist() == [r for r, _ in expected]
-    assert held.tolist() == [int(baskets[r].product_ids[k]) for r, k in expected]
-    contexts = [np.delete(baskets[r].product_ids, k) for r, k in expected]
+    assert held.tolist() == [int(rows_of[r][k]) for r, k in expected]
+    contexts = [np.delete(rows_of[r], k) for r, k in expected]
     assert ctx_lens.tolist() == [len(c) for c in contexts]
     assert ctx_flat.tolist() == [int(x) for c in contexts for x in c]
 
@@ -358,6 +506,6 @@ def test_split_invariants_property(seed, max_basket):
     _, baskets = make_random_corpus(25, 120, max_basket=max_basket, seed=seed)
     sp = split_warm(baskets, seed=seed)
     train_products = _products_in(sp.train)
-    for b in sp.validation + sp.test:
+    for b in [*sp.validation, *sp.test]:
         assert len(b) >= 2
-        assert set(b.product_ids.tolist()) <= train_products
+        assert set(b.tolist()) <= train_products

@@ -3,8 +3,8 @@ import pytest
 
 from bastext import evaluation
 from bastext.baselines import ItemKnnModel, PopModel, Prod2vecConfig, Prod2vecModel
-from bastext.corpus import Basket, DatasetSplit, split_warm
-from bastext.evaluation import (ContextScorer, EvalError, ExternalScorer, TestCase,
+from bastext.corpus import DatasetSplit, split_warm
+from bastext.evaluation import (ContextScorer, EvalError, ExternalScorer, TestCase, TestCases,
                                 compute_ranks, evaluate, form_test_cases, mrr_at_n, order_pool,
                                 rank_candidates, recall_at_n)
 from bastext.kernels import rank_block
@@ -12,8 +12,14 @@ from bastext.model import BastextScorer, ProductVectors
 from bastext.synthetic import make_random_corpus
 
 
-def _b(ids, s):
-    return Basket(np.array(sorted(ids), dtype=np.int64), s)
+from conftest import make_baskets
+
+
+def _cases(cases):
+    """`TestCases` holding the given `TestCase`s in order."""
+    indptr, ctx_flat, _ = _csr(cases)
+    held = np.array([c.held_out_id for c in cases], dtype=np.int64)
+    return TestCases(held, indptr, ctx_flat, np.zeros(len(cases), dtype=np.int64))
 
 
 class FixedScorer(ContextScorer):
@@ -79,7 +85,7 @@ def _rank(scores, pool, held):
 # ---------------------------------------------------------------------------
 
 def test_form_cases_warm_leave_one_out():
-    split = DatasetSplit([], [], [_b([0, 1, 2], "t")], "warm", 0)
+    split = DatasetSplit(make_baskets(), make_baskets(), make_baskets([0, 1, 2]), "warm", 0)
     cases = form_test_cases(split)
     assert len(cases) == 3
     assert sorted(c.held_out_id for c in cases) == [0, 1, 2]
@@ -89,7 +95,8 @@ def test_form_cases_warm_leave_one_out():
 
 
 def test_form_cases_cold_restriction():
-    split = DatasetSplit([], [], [_b([0, 1, 2], "t")], "cold", 0, {2})
+    split = DatasetSplit(make_baskets(), make_baskets(), make_baskets([0, 1, 2]), "cold", 0,
+                         {2})
     cases = form_test_cases(split)
     assert len(cases) == 1
     assert cases[0].held_out_id == 2
@@ -97,7 +104,7 @@ def test_form_cases_cold_restriction():
 
 
 def test_form_cases_zero_fatal():
-    split = DatasetSplit([], [], [_b([0, 1], "t")], "cold", 0, {5})
+    split = DatasetSplit(make_baskets(), make_baskets(), make_baskets([0, 1]), "cold", 0, {5})
     with pytest.raises(EvalError):
         form_test_cases(split)
 
@@ -114,21 +121,21 @@ def test_case_count_equals_sum_of_basket_sizes():
 # ---------------------------------------------------------------------------
 
 def test_rank_candidates_descending():
-    case = TestCase(np.array([9]), 0, "s")
+    case = TestCase(np.array([9]), 0)
     scorer = FixedScorer([0.5, 0.9, 0.1] + [0.0] * 7)
     order = rank_candidates(case, scorer, np.array([0, 1, 2]))
     assert list(order) == [1, 0, 2]
 
 
 def test_rank_candidates_tie_lower_id_first():
-    case = TestCase(np.array([9]), 0, "s")
+    case = TestCase(np.array([9]), 0)
     scorer = FixedScorer([0.4, 0.4, 0.9] + [0.0] * 7)
     order = rank_candidates(case, scorer, np.array([0, 1, 2]))
     assert list(order) == [2, 0, 1]
 
 
 def test_rank_candidates_rejects_context_in_pool():
-    case = TestCase(np.array([1]), 0, "s")
+    case = TestCase(np.array([1]), 0)
     with pytest.raises(EvalError):
         rank_candidates(case, FixedScorer([1, 2, 3]), np.array([0, 1]))
 
@@ -138,7 +145,7 @@ def test_rank_candidates_matches_stable_sort_oracle():
     scores = rng.random(1000)
     scores[rng.choice(1000, 100, replace=False)] = 0.5  # force ties
     scorer = FixedScorer(scores)
-    case = TestCase(np.array([999]), 0, "s")
+    case = TestCase(np.array([999]), 0)
     pool = np.arange(999)
     order = rank_candidates(case, scorer, pool)
     oracle = sorted(pool.tolist(), key=lambda i: (-scores[i], i))
@@ -146,7 +153,7 @@ def test_rank_candidates_matches_stable_sort_oracle():
 
 
 def test_compute_ranks_held_out_outside_pool_infinite():
-    cases = [TestCase(np.array([0]), 2, "s")]
+    cases = _cases([TestCase(np.array([0]), 2)])
     ranks = compute_ranks(FixedScorer([1, 1, 1]), cases, pool="test-products",
                           test_product_ids={1})
     assert np.isinf(ranks[0])
@@ -197,9 +204,9 @@ def test_metrics_match_loop_oracle_and_invariants():
 
 def test_evaluate_pop_toy_hand_computation():
     # train baskets: {0,1},{0,1},{0,2} -> counts [3,2,1]; test basket {0,1}
-    train = [_b([0, 1], "a"), _b([0, 1], "b"), _b([0, 2], "c")]
+    train = make_baskets([0, 1], [0, 1], [0, 2])
     pop = PopModel.fit(train, 3)
-    cases = form_test_cases(DatasetSplit(train, [], [_b([0, 1], "t")], "warm", 0))
+    cases = form_test_cases(DatasetSplit(train, make_baskets(), make_baskets([0, 1]), "warm", 0))
     # case (ctx {1}, held 0): pool {0,2}; 0 has top count -> rank 1
     # case (ctx {0}, held 1): pool {1,2}; counts 2 > 1 -> rank 1
     report = evaluate(pop, cases, ns=(1, 2))
@@ -235,7 +242,7 @@ def test_evaluate_deterministic_and_serializable():
 # ---------------------------------------------------------------------------
 
 def test_external_scorer_round_trip(tmp_path):
-    cases = [TestCase(np.array([2]), 0, "s0"), TestCase(np.array([0]), 1, "s1")]
+    cases = _cases([TestCase(np.array([2]), 0), TestCase(np.array([0]), 1)])
     f = tmp_path / "scores.tsv"
     f.write_text("0\t0:0.9,1:0.5\n1\t1:0.8,2:0.1\n")
     scorer = ExternalScorer.load(f, 3)
@@ -257,7 +264,7 @@ def test_external_scorer_missing_case_fatal(tmp_path):
     f = tmp_path / "scores.tsv"
     f.write_text("0\t1:0.1\n")
     scorer = ExternalScorer.load(f, 4)
-    cases = [TestCase(np.array([0]), 1, "a"), TestCase(np.array([0]), 2, "b")]
+    cases = _cases([TestCase(np.array([0]), 1), TestCase(np.array([0]), 2)])
     with pytest.raises(EvalError, match="missing case 1"):
         evaluate(scorer, cases, method="external")
 
@@ -320,7 +327,7 @@ def test_order_pool_matches_rank_block():
 
 def test_compute_ranks_context_exclusion_is_per_case():
     """One case's context leaves the pool for that case only."""
-    cases = [TestCase(np.array([1]), 0, "a"), TestCase(np.array([0]), 1, "b")]
+    cases = _cases([TestCase(np.array([1]), 0), TestCase(np.array([0]), 1)])
     ranks = compute_ranks(FixedScorer([0.2, 0.9, 0.5]), cases)
     assert list(ranks) == [2.0, 1.0]
 
@@ -339,8 +346,8 @@ def _random_cases(rng, n, m):
     cases = []
     for _ in range(n):
         ids = rng.choice(m, size=rng.integers(2, 6), replace=False)
-        cases.append(TestCase(ids[1:], int(ids[0]), "s"))
-    return cases
+        cases.append(TestCase(ids[1:], int(ids[0])))
+    return _cases(cases)
 
 
 # BLOCK_ENTRIES values that give blocks of 1 case, of 3 cases and one block over every case
@@ -417,7 +424,7 @@ def test_score_all_is_bitwise_the_block_row(method):
 
 def test_nan_score_fails_ranking():
     """A NaN compares false with everything, so a NaN held-out score would rank first."""
-    cases = [TestCase(np.array([0]), 1, "a")]
+    cases = _cases([TestCase(np.array([0]), 1)])
     with pytest.raises(EvalError, match="NaN score"):
         compute_ranks(FixedScorer([0.2, np.nan, 0.5]), cases)
     with pytest.raises(EvalError, match="NaN score"):
@@ -425,5 +432,5 @@ def test_nan_score_fails_ranking():
 
 
 def test_held_out_inside_its_own_context_ranks_inf():
-    cases = [TestCase(np.array([0, 2]), 2, "a"), TestCase(np.array([0]), 2, "b")]
+    cases = _cases([TestCase(np.array([0, 2]), 2), TestCase(np.array([0]), 2)])
     assert list(compute_ranks(FixedScorer([0.2, 0.9, 0.5]), cases)) == [np.inf, 2.0]

@@ -3,12 +3,14 @@ import pytest
 from scipy.special import expit
 
 import bastext.model as M
-from bastext.corpus import Basket, basket_csr, build_vocabulary, split_warm, title_matrix
+from bastext.corpus import build_vocabulary, split_warm, title_matrix
 from bastext.encoders import WordInputTable
 from bastext.model import (BastextScorer, ModelConfig, ModelError, adam_step,
                            check_catalog_hash, init_model, load_model,
                            materialize_product_vectors, save_model, train)
 from bastext.synthetic import make_planted_corpus, make_random_corpus
+
+from conftest import make_baskets
 
 
 def _small_state(tiny_vocab, encoder="mov", seed=0, **kw):
@@ -135,8 +137,8 @@ def _full_model_fd(state, batch, token_ids, tol=1e-6):
 
 
 def _random_batch(loss_batch, rng, num_products=5, n_pos=2, n_neg=2):
-    baskets = [Basket(np.sort(rng.choice(num_products, size=3, replace=False)), "s")
-               for _ in range(n_pos)]
+    baskets = make_baskets(*[rng.choice(num_products, size=3, replace=False)
+                             for _ in range(n_pos)])
     return loss_batch(baskets, n_neg, num_products, rng)
 
 
@@ -235,11 +237,11 @@ def _train_small(seed=0, epochs=3, **kw):
 def test_train_empty_fatal(tiny_catalog, tiny_vocab):
     cfg = ModelConfig(k=4)
     with pytest.raises(ModelError):
-        train(cfg, [], [], tiny_catalog, tiny_vocab)
+        train(cfg, make_baskets(), make_baskets(), tiny_catalog, tiny_vocab)
 
 
 def _csr_keys(baskets, m):
-    indptr, indices = basket_csr(baskets)
+    indptr, indices = baskets.indptr, baskets.indices
     return np.sort(np.repeat(np.arange(len(baskets)), np.diff(indptr)) * m + indices)
 
 
@@ -247,7 +249,7 @@ def test_sample_negative_matrix_excludes_own_basket_only():
     m = 6
     # basket 0 holds product M-1; basket 1 holds every product but M-1, so its
     # one legal draw has a key past the last member key
-    baskets = [Basket(np.array([1, 5]), "a"), Basket(np.arange(5), "b")]
+    baskets = make_baskets([1, 5], range(5))
     rows = np.array([0, 1, 0, 1])
     draws = M._sample_negative_matrix(rows, _csr_keys(baskets, m), 50, m,
                                       np.random.default_rng(0))
@@ -271,10 +273,10 @@ def test_sample_negative_matrix_matches_bitmap_reference():
 
     rng = np.random.default_rng(5)
     for m in (3, 7, 40):
-        baskets = [Basket(np.sort(rng.choice(m, size=rng.integers(1, m), replace=False)), "s")
-                   for _ in range(6)]
+        baskets = make_baskets(*[rng.choice(m, size=rng.integers(1, m), replace=False)
+                                 for _ in range(6)])
         rows = rng.integers(0, len(baskets), size=30)
-        members = [b.product_ids for b in baskets]
+        members = list(baskets)
         got = M._sample_negative_matrix(rows, _csr_keys(baskets, m), 4, m,
                                         np.random.default_rng(m))
         want = bitmap_sampler(rows, members, 4, m, np.random.default_rng(m))
@@ -288,13 +290,13 @@ def test_train_basket_covering_catalog_fatal(tiny_catalog, tiny_vocab):
     def hang(signum, frame):
         raise AssertionError("train did not return")
 
-    full = Basket(np.arange(len(tiny_catalog), dtype=np.int64), "all")
-    part = Basket(np.array([0, 1], dtype=np.int64), "part")
+    baskets = make_baskets([0, 1], range(len(tiny_catalog)))
     previous = signal.signal(signal.SIGALRM, hang)
     signal.alarm(20)
     try:
         with pytest.raises(ModelError, match="every catalog product"):
-            train(ModelConfig(k=4, epochs=1), [part, full], [], tiny_catalog, tiny_vocab)
+            train(ModelConfig(k=4, epochs=1), baskets, make_baskets(), tiny_catalog,
+                  tiny_vocab)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -343,6 +345,31 @@ def test_finetune_tunes_a_copy_of_the_callers_table():
     assert a.named_params().keys() == b.named_params().keys()
     for k in a.named_params():
         assert np.array_equal(a.named_params()[k], b.named_params()[k]), k
+
+
+def test_best_epoch_snapshot_includes_finetuned_table():
+    """With a best epoch before the last, every tuned tensor (the fine-tuned table too) is
+    the one a run stopped at the best epoch returns, byte for byte."""
+    cat, baskets = make_random_corpus(30, 300, seed=8)
+    vocab = build_vocabulary(cat)
+    sp = split_warm(baskets, seed=1)
+    vectors = np.random.default_rng(0).normal(size=(vocab.size, 4)).astype(np.float32)
+
+    def run(epochs):
+        cfg = ModelConfig(k=8, negatives=2, batch_size=64, epochs=epochs, seed=0,
+                          patience=10, learning_rate=5e-3, validation_sample=50,
+                          pretrained=True, finetune_pretrained=True)
+        return train(cfg, sp.train, sp.validation, cat, vocab,
+                     WordInputTable.pretrained(vectors.copy()))
+
+    full, log = run(4)
+    recalls = [float(line.split("\t")[2].split()[1]) for line in log]
+    best = int(np.argmax(recalls)) + 1
+    assert len(log) == 4 and best < 4, recalls  # the case under test
+    stopped, _ = run(best)
+    assert full.named_params().keys() == stopped.named_params().keys() >= {"table"}
+    for name, p in full.named_params().items():
+        assert p.tobytes() == stopped.named_params()[name].tobytes(), name
 
 
 def test_train_batch_consumes_expected_examples(monkeypatch):
@@ -548,18 +575,18 @@ def test_context_pathway_learns_cooccurrence_disjoint_titles():
     for i in range(8):
         cat.add(f"f{i}", f"filler{i} junk{i}")
     rng = np.random.default_rng(0)
-    baskets = []
+    members = []
     for i in range(300):
         if i % 2 == 0:
             extra = 2 + rng.integers(8)
-            baskets.append(Basket(np.sort(np.array([0, 1, extra])), f"s{i}"))
+            members.append([0, 1, extra])
         else:
-            pair = np.sort(rng.choice(np.arange(2, 10), size=2, replace=False))
-            baskets.append(Basket(pair, f"s{i}"))
+            members.append(rng.choice(np.arange(2, 10), size=2, replace=False))
+    baskets = make_baskets(*members)
     vocab = build_vocabulary(cat)
     cfg = ModelConfig(k=8, negatives=4, batch_size=32, epochs=15, seed=0,
                       dropout=0.0, learning_rate=5e-3, patience=50, validation_sample=20)
-    state, _ = train(cfg, baskets, baskets[:20], cat, vocab)
+    state, _ = train(cfg, baskets, baskets.take(np.arange(20)), cat, vocab)
     vecs = materialize_product_vectors(state, cat)
     also_buy = vecs.embedding @ vecs.context[1]  # buying b -> score for every candidate
     assert also_buy[0] > np.median(also_buy)
