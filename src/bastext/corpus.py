@@ -52,8 +52,7 @@ class Baskets:
     @classmethod
     def from_lists(cls, members, source_ids) -> Baskets:
         """Baskets from one sorted, unique id sequence per basket."""
-        lens = np.fromiter(map(len, members), dtype=np.int64, count=len(members))
-        return cls(np.concatenate([[0], np.cumsum(lens)]),
+        return cls(np.concatenate([[0], np.cumsum([len(m) for m in members], dtype=np.int64)]),
                    np.concatenate([np.zeros(0, dtype=np.int64), *members]),
                    np.array(source_ids, dtype=object))
 
@@ -202,9 +201,8 @@ def import_dataset(fmt: str, paths: list[str | Path]) -> tuple[Catalog, Baskets,
                       ids, source_ids).restrict(np.ones(m, dtype=bool))
     if not len(baskets):
         raise CorpusError("zero usable baskets after ingestion")
-    n_unknown = int(unknown.sum())
-    return catalog, baskets, IngestStats(len(baskets), len(lens) - n_unknown - len(baskets),
-                                         dropped, skipped + n_unknown)
+    return catalog, baskets, IngestStats(len(baskets), int((~unknown).sum()) - len(baskets),
+                                         dropped, skipped + int(unknown.sum()))
 
 
 def read_catalog(path) -> Catalog:
@@ -524,18 +522,19 @@ def load_split_manifest(path, catalog: Catalog, baskets: Baskets) -> DatasetSpli
     """
     path = Path(path)
     lines = _read_lines(path)
-    pairs = [line.partition("\t") for line in lines]
-    part = np.array([_PARTS.get(key, -1) for key, _, _ in pairs], dtype=np.int64)
+    # No list of per-line tuples: thousands of live containers would set off the collector.
+    part = np.array([_PARTS.get(line.partition("\t")[0], -1) for line in lines], dtype=np.int64)
     listed = np.flatnonzero(part >= 0)
     row_of = dict(zip(baskets.source_ids.tolist(), range(len(baskets))))
-    rows = np.array([row_of.get(pairs[i][2], -1) for i in listed.tolist()], dtype=np.int64)
+    rows = np.array([row_of.get(lines[i].partition("\t")[2], -1) for i in listed.tolist()],
+                    dtype=np.int64)
     order = np.argsort(rows, kind="stable")  # a row's later listings follow its first
     bad = rows < 0
     bad[order[1:][rows[order[1:]] == rows[order[:-1]]]] = True
     first_bad = int(listed[bad][0]) if bad.any() else len(lines)
     mode, seed, cold = "warm", 0, set()
     for i in np.flatnonzero(part[:first_bad] < 0).tolist():
-        key, _, value = pairs[i]
+        key, _, value = lines[i].partition("\t")
         if key == "testproduct":
             if catalog.get(value) is None:
                 raise CorpusError(f"{path}:{i + 1}: manifest references unknown product {value!r}")
@@ -551,7 +550,7 @@ def load_split_manifest(path, catalog: Catalog, baskets: Baskets) -> DatasetSpli
         else:
             raise CorpusError(f"{path}:{i + 1}: bad manifest line: {lines[i]!r}")
     if first_bad < len(lines):
-        value = pairs[first_bad][2]
+        value = lines[first_bad].partition("\t")[2]
         raise CorpusError(f"{path}:{first_bad + 1}: " + (
             f"basket {value!r} listed twice" if value in row_of
             else f"manifest references unknown basket {value!r}"))

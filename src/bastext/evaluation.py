@@ -23,7 +23,7 @@ class TestCase:
     held_out_id: int
 
 
-@dataclass
+@dataclass(eq=False)
 class TestCases:
     """Leave-one-out cases as CSR: case i holds out `held[i]` from basket `rows[i]`,
     and its context is `ctx_flat[indptr[i]:indptr[i + 1]]`.

@@ -263,7 +263,7 @@ def _sample_negative_matrix(basket_rows: np.ndarray, member_keys: np.ndarray,
         flat[bad] = rng.integers(0, num_products, size=len(bad))
 
 
-def _validation_recall(state: ModelState, catalog: Catalog, cases: TestCases, n=20) -> float:
+def _validation_recall(state: ModelState, catalog: Catalog, cases: TestCases, n: int = 20) -> float:
     """Recall@n of the raw logits over `cases`."""
     if not len(cases):
         return float("nan")

@@ -148,14 +148,20 @@ def test_onlineretail_ingest(tmp_path):
 
 
 def test_instacart_ingest(tmp_path):
+    """A product missing from products.csv (99, 98) or with a blank name (4) leaves its
+    order; an order left below two products is dropped and counted."""
     (tmp_path / "products.csv").write_text(
-        "product_id,product_name,aisle_id\n1,Banana,24\n2,Whole Milk,84\n3,Bread,112\n")
+        "product_id,product_name,aisle_id\n1,Banana,24\n2,Whole Milk,84\n3,Bread,112\n4,,5\n")
     (tmp_path / "order_products.csv").write_text(
-        "order_id,product_id,add_to_cart_order\n10,1,1\n10,2,2\n11,2,1\n11,3,2\n")
-    cat, baskets, _ = import_dataset(
+        "order_id,product_id,add_to_cart_order\n10,1,1\n10,2,2\n10,99,3\n11,2,1\n11,3,2\n"
+        "12,99,1\n12,98,2\n13,1,1\n13,4,2\n")
+    cat, baskets, stats = import_dataset(
         "instacart", [tmp_path / "products.csv", tmp_path / "order_products.csv"])
     assert len(cat) == 3
-    assert len(baskets) == 2
+    assert [b.tolist() for b in baskets] == [[0, 1], [1, 2]]
+    assert baskets.source_ids.tolist() == ["10", "11"]
+    assert (stats.baskets_dropped_small, stats.products_dropped_empty_title,
+            stats.rows_skipped) == (2, 1, 0)
 
 
 def test_unknown_format_fatal(tmp_path):
@@ -394,7 +400,8 @@ def test_manifest_error_names_first_bad_line(tmp_path, bad, message):
     lines = path.read_text().splitlines()
     dup = sp.train.source_ids[0]
     at = 5  # 1-based line number of the bad line, among the train lines
-    lines = lines[:at - 1] + [bad.format(dup=dup)] + lines[at - 1:] + ["train\tlater-bad"]
+    later = ["train\tlater-bad", "later-bad-line"]  # one bad line of each family after it
+    lines = lines[:at - 1] + [bad.format(dup=dup)] + lines[at - 1:] + later
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CorpusError) as err:
         load_split_manifest(path, cat, baskets)

@@ -109,6 +109,24 @@ def test_form_cases_zero_fatal():
         form_test_cases(split)
 
 
+def test_test_cases_views_match_the_csr_rows():
+    """`len`, int (and negative) indexing, step-1 slices and iteration read the CSR rows."""
+    _, baskets = make_random_corpus(25, 200, seed=3)
+    cases = form_test_cases(split_warm(baskets, seed=1))
+    rows = [(cases.ctx_flat[a:b].tolist(), int(h))
+            for a, b, h in zip(cases.indptr[:-1], cases.indptr[1:], cases.held)]
+    assert len(cases) == len(rows) and [(c.context_ids.tolist(), c.held_out_id)
+                                        for c in cases] == rows
+    assert (cases[-1].context_ids.tolist(), cases[-1].held_out_id) == rows[-1]
+    assert [(c.context_ids.tolist(), c.held_out_id) for c in cases[3:9]] == rows[3:9]
+    assert cases[3:9].rows.tolist() == cases.rows[3:9].tolist()
+    assert len(cases[9:3]) == 0 and len(cases[len(cases):]) == 0
+    with pytest.raises(IndexError):
+        cases[len(cases)]
+    with pytest.raises(IndexError):
+        cases[::2]
+
+
 def test_case_count_equals_sum_of_basket_sizes():
     _, baskets = make_random_corpus(30, 300, seed=0)
     sp = split_warm(baskets, seed=0)
