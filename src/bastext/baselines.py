@@ -15,7 +15,7 @@ from scipy import sparse
 from scipy.special import expit
 
 from .corpus import Baskets, leave_one_out
-from .evaluation import ContextScorer, order_pool
+from .evaluation import ContextScorer
 from .kernels import cosine_to_all, scatter_rows, segment_mean
 
 
@@ -24,7 +24,6 @@ class PopModel(ContextScorer):
 
     def __init__(self, counts: np.ndarray):
         self.counts = counts
-        self.ranking = order_pool(counts, np.arange(len(counts)))
 
     @classmethod
     def fit(cls, train_baskets: Baskets, num_products: int) -> "PopModel":

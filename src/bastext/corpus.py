@@ -351,6 +351,8 @@ def _read_instacart(paths: list[Path]):
             header = next(reader)
             pid = _find_column(header, "productid")
             name = _find_column(header, "productname")
+            if pid is None:
+                raise CorpusError(f"{p}: instacart CSV has no product_id column")
             for row in reader:
                 if len(row) <= max(pid, name) or not row[pid].strip():
                     skipped += 1
@@ -362,6 +364,8 @@ def _read_instacart(paths: list[Path]):
             header = next(reader)
             oid = _find_column(header, "orderid")
             pid = _find_column(header, "productid")
+            if pid is None:
+                raise CorpusError(f"{p}: instacart CSV has no product_id column")
             for row in reader:
                 if len(row) <= max(oid, pid) or not row[oid].strip() or not row[pid].strip():
                     skipped += 1

@@ -6,6 +6,12 @@ convolutional encoder (per-width filter banks, ReLU, max-over-time pooling,
 linear projection, ReLU). Both support one-hot or pretrained word inputs and
 have exact analytic backward passes.
 
+The kind of word input matters only where word vectors meet the first layer:
+mov's mean input is the mean matrix S (one-hot) or S times the pretrained table,
+and cnn turns each filter bank into per-word responses `resp[o, t, f]` (filter
+f at offset o on word t; zero for UNK/PAD), the bank itself or one product of
+it with the table. The convolution gathers and its gradient scatters that layout.
+
 The entry points (`encode_batch` / `backward_batch`) take the rows of a title matrix
 (`corpus.title_matrix`), whose UNK = V and PAD = V + 1 both map to the zero vector.
 """
@@ -110,10 +116,6 @@ class CnnParams:
     proj: np.ndarray  # (F * len(widths), K)
     proj_bias: np.ndarray  # (K,)
 
-    @property
-    def num_filters(self) -> int:
-        return next(iter(self.filters.values())).shape[0]
-
     def as_dict(self) -> dict[str, np.ndarray]:
         out = {}
         for w in self.widths:
@@ -168,31 +170,22 @@ def _dropout_mask(shape, rate: float, rng: np.random.Generator | None, dtype):
 def _mov_forward(params: MovParams, table: WordInputTable, token_ids, dropout_rate, rng):
     dtype = params.W.dtype
     S = _mean_matrix(token_ids, table.vocab_size, dtype)
-    if table.mode == "onehot":
-        xbar = None
-        pre = np.asarray(S @ params.W)
-    else:
-        xbar = np.asarray(S @ table.vectors.astype(dtype, copy=False))
-        pre = xbar @ params.W
+    # the mean input vector: S itself for one-hot words
+    x = S if table.mode == "onehot" else np.asarray(S @ table.vectors.astype(dtype, copy=False))
+    pre = np.asarray(x @ params.W)
     h = np.maximum(pre, 0)
     mask = _dropout_mask(h.shape, dropout_rate, rng, dtype)
     out = h if mask is None else h * mask
-    cache = {"S": S, "xbar": xbar, "relu": pre > 0, "drop": mask, "table": table}
+    cache = {"S": S, "x": x, "relu": pre > 0, "drop": mask}
     return out, cache
 
 
 def _mov_backward(params: MovParams, cache, d_out, want_input_grads):
     d_h = d_out if cache["drop"] is None else d_out * cache["drop"]
     d_pre = d_h * cache["relu"]
-    S = cache["S"]
-    grads = {}
-    if cache["xbar"] is None:
-        grads["W"] = np.asarray((S.T @ d_pre))
-    else:
-        grads["W"] = cache["xbar"].T @ d_pre
-        if want_input_grads:
-            d_xbar = d_pre @ params.W.T
-            grads["input"] = np.asarray(S.T @ d_xbar)
+    grads = {"W": np.asarray(cache["x"].T @ d_pre)}
+    if want_input_grads:
+        grads["input"] = np.asarray(cache["S"].T @ (d_pre @ params.W.T))
     return grads
 
 
@@ -202,33 +195,28 @@ def _mov_backward(params: MovParams, cache, d_out, want_input_grads):
 
 def _cnn_forward(params: CnnParams, table: WordInputTable, token_ids, dropout_rate, rng):
     dtype = params.proj.dtype
+    v = table.vocab_size
     wmax = max(params.widths)
-    title_lens = np.count_nonzero(token_ids <= table.vocab_size, axis=1)  # UNK counts, PAD not
+    title_lens = np.count_nonzero(token_ids <= v, axis=1)  # UNK counts, PAD not
     lens = np.maximum(title_lens, wmax)
     lmax = int(lens.max(initial=wmax))
-    T = np.minimum(token_ids[:, :lmax], table.vocab_size)  # PAD reads as UNK: a zero vector
-    T = np.pad(T, ((0, 0), (0, lmax - T.shape[1])), constant_values=table.vocab_size)
+    T = np.minimum(token_ids[:, :lmax], v)  # PAD reads as UNK: a zero vector
+    T = np.pad(T, ((0, 0), (0, lmax - T.shape[1])), constant_values=v)
 
-    X = None
-    if table.mode == "pretrained":
-        padded = np.vstack([table.vectors.astype(dtype, copy=False),
-                            np.zeros((1, table.dim), dtype=dtype)])
-        X = padded[T]  # (n, lmax, d)
-
+    vecs = None if table.mode == "onehot" else table.vectors.astype(dtype, copy=False)
     pooled_parts = []
     per_width = {}
     for w in params.widths:
         lw = lmax - w + 1
         fw = params.filters[w]
         nf = fw.shape[0]
-        if table.mode == "onehot":
-            fe = np.concatenate([fw, np.zeros((nf, w, 1), dtype=dtype)], axis=2)
-            conv = np.zeros((len(T), lw, nf), dtype=dtype)
-            for o in range(w):
-                conv += fe[:, o, T[:, o: o + lw]].transpose(1, 2, 0)
-        else:
-            windows = np.lib.stride_tricks.sliding_window_view(X, w, axis=1)
-            conv = np.einsum("pldo,fod->plf", windows, fw, optimize=True).astype(dtype, copy=False)
+        # resp[o, t, f]: filter f's response at offset o to word t; row V (UNK/PAD) is zero
+        words = (fw.transpose(1, 2, 0) if vecs is None
+                 else np.tensordot(vecs, fw, axes=(1, 2)).transpose(2, 0, 1))
+        resp = np.concatenate([words, np.zeros((w, 1, nf), dtype=dtype)], axis=1)
+        conv = np.zeros((len(T), lw, nf), dtype=dtype)
+        for o in range(w):
+            conv += resp[o][T[:, o: o + lw]]
         conv += params.biases[w]
         act = np.maximum(conv, 0)
         invalid = np.arange(lw)[None, :] > (lens - w)[:, None]
@@ -244,22 +232,21 @@ def _cnn_forward(params: CnnParams, table: WordInputTable, token_ids, dropout_ra
     z = feat_d @ params.proj + params.proj_bias
     empty = (title_lens == 0)[:, None]
     out = np.where(empty, 0, np.maximum(z, 0))
-    cache = {"T": T, "X": X, "per_width": per_width, "feat_d": feat_d, "drop": mask,
+    cache = {"T": T, "per_width": per_width, "feat_d": feat_d, "drop": mask,
              "zmask": (z > 0) & ~empty, "table": table}
     return out, cache
 
 
 def _cnn_backward(params: CnnParams, cache, d_out, want_input_grads):
-    dtype = params.proj.dtype
-    T = cache["T"]
-    n = T.shape[0]
+    T, table = cache["T"], cache["table"]
+    n, v = T.shape[0], table.vocab_size
     d_z = d_out * cache["zmask"]
     grads = {"proj": cache["feat_d"].T @ d_z, "proj_bias": d_z.sum(axis=0)}
     d_feat = d_z @ params.proj.T
     if cache["drop"] is not None:
         d_feat = d_feat * cache["drop"]
     if want_input_grads:
-        grads["input"] = np.zeros((cache["table"].vocab_size, cache["table"].dim), dtype=dtype)
+        grads["input"] = np.zeros((v, table.dim), dtype=params.proj.dtype)
     p_idx = np.arange(n)[:, None]
     offset = 0
     for w in params.widths:
@@ -270,25 +257,17 @@ def _cnn_backward(params: CnnParams, cache, d_out, want_input_grads):
         offset += nf
         grads[f"bias{w}"] = val.sum(axis=0)
         tstar = pw["tstar"]
-        d_fw = np.zeros_like(fw)
-        f_idx = np.broadcast_to(np.arange(nf)[None, :], tstar.shape)
-        for o in range(w):
-            tok = T[p_idx, tstar + o]  # (n, F)
-            if cache["X"] is None:
-                # one-hot: filter f's weight for token t sits at flat key f * (V + 1) + t
-                width = fw.shape[2] + 1
-                d_fe = scatter_rows((f_idx * width + tok).ravel(), val.ravel(),
-                                    nf * width).reshape(nf, width)
-                d_fw[:, o, :] += d_fe[:, :-1]
-            else:
-                xg = cache["X"][p_idx, tstar + o, :]  # (n, F, d)
-                d_fw[:, o, :] += np.einsum("pf,pfd->fd", val, xg, optimize=True)
-                if want_input_grads:
-                    keep = tok < cache["table"].vocab_size
-                    contrib = val[:, :, None] * fw[None, :, o, :]
-                    grads["input"] += scatter_rows(tok[keep], contrib[keep],
-                                                   cache["table"].vocab_size)
-        grads[f"conv{w}"] = d_fw
+        # d_resp[o, t, f] sums val[p, f] over the titles p whose max for f has word t at offset o
+        d_resp = np.stack([
+            scatter_rows((T[p_idx, tstar + o] * nf + np.arange(nf)).ravel(), val.ravel(),
+                         (v + 1) * nf).reshape(v + 1, nf)[:v] for o in range(w)])
+        if table.mode == "onehot":
+            grads[f"conv{w}"] = d_resp.transpose(2, 0, 1)
+        else:
+            grads[f"conv{w}"] = np.tensordot(d_resp, table.vectors.astype(fw.dtype, copy=False),
+                                             axes=(1, 0)).transpose(1, 0, 2)
+        if want_input_grads:
+            grads["input"] += np.tensordot(d_resp, fw, axes=([0, 2], [1, 0]))
     return grads
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bastext.corpus import Baskets, Catalog, build_vocabulary, encode_catalog, leave_one_out
+from bastext.evaluation import TestCases, compute_ranks
 from bastext.model import _sample_negative_matrix
 
 
@@ -20,6 +21,16 @@ def make_baskets(*members, source_ids=None):
     """`Baskets` from one id list per basket (sorted here), named s0, s1, ... by default."""
     return Baskets.from_lists([sorted(m) for m in members],
                               source_ids or [f"s{i}" for i in range(len(members))])
+
+
+def evaluated_order(scorer):
+    """Every product in the order `evaluate` ranks it: each is held out once with an empty
+    context, and `compute_ranks` gives its rank."""
+    m = scorer.num_products
+    empty = np.zeros(0, dtype=np.int64)
+    ranks = compute_ranks(scorer, TestCases(np.arange(m), np.zeros(m + 1, dtype=np.int64),
+                                            empty, np.arange(m)))
+    return list(np.argsort(ranks, kind="stable"))
 
 
 @pytest.fixture

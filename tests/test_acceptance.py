@@ -34,6 +34,8 @@ from bastext.evaluation import (evaluate, form_test_cases, mrr_at_n, rank_candid
 from bastext.model import BastextScorer, ModelConfig, init_model
 from bastext.synthetic import make_planted_corpus, make_random_corpus
 
+from conftest import evaluated_order
+
 DATA_DIR = Path(os.environ.get("BASTEXT_DATA", Path(__file__).resolve().parents[1] / "data"))
 ONLINERETAIL = DATA_DIR / "OnlineRetail.csv"
 INSTACART = [DATA_DIR / "instacart" / "products.csv",
@@ -198,8 +200,8 @@ def test_criterion_3_baseline_oracles():
         counts = np.zeros(num_products, dtype=np.int64)
         for b in baskets:
             counts[b] += 1
-        pop_exact &= list(pop.ranking) == sorted(range(num_products),
-                                                 key=lambda i: (-counts[i], i))
+        pop_exact &= evaluated_order(pop) == sorted(range(num_products),
+                                                    key=lambda i: (-counts[i], i))
         for _ in range(20):
             ctx = rng.choice(num_products, size=rng.integers(1, 5), replace=False)
             diff = np.abs(knn.score_all(ctx) - _dense_knn_oracle(baskets, num_products, ctx))

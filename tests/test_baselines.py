@@ -6,7 +6,7 @@ from bastext.baselines import (ItemKnnModel, PopModel, Prod2vecConfig, Prod2vecM
 from bastext.kernels import scatter_rows
 from bastext.synthetic import make_planted_corpus, make_random_corpus
 
-from conftest import make_baskets
+from conftest import evaluated_order, make_baskets
 
 
 # ---------------------------------------------------------------------------
@@ -17,14 +17,14 @@ def test_pop_count_ranking():
     baskets = make_baskets([0, 1], [0, 1], [0, 2])
     pop = PopModel.fit(baskets, 4)
     assert list(pop.counts) == [3, 2, 1, 0]
-    assert list(pop.ranking) == [0, 1, 2, 3]
+    assert evaluated_order(pop) == [0, 1, 2, 3]
 
 
 def test_pop_tie_break_ascending_id():
     baskets = make_baskets([2, 3], [0, 1])
     pop = PopModel.fit(baskets, 5)
     # all of 0..3 counted once, 4 unseen; ties resolve by id
-    assert list(pop.ranking) == [0, 1, 2, 3, 4]
+    assert evaluated_order(pop) == [0, 1, 2, 3, 4]
 
 
 def test_pop_context_blind():
@@ -43,7 +43,7 @@ def test_pop_matches_bincount_oracle():
         for p in b:
             manual[p] += 1
     assert np.array_equal(pop.counts, manual)
-    assert pop.ranking[0] == np.flatnonzero(manual == manual.max())[0]
+    assert evaluated_order(pop)[0] == np.flatnonzero(manual == manual.max())[0]
 
 
 # ---------------------------------------------------------------------------

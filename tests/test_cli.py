@@ -305,9 +305,18 @@ def test_missing_file_exits_1_without_traceback(tmp_path, raw_corpus, capsys, ar
     (["train", "--epochs", "1", "--pretrained", "vectors.txt"],
      {"vectors.txt": b"comm0 0.1 0.2\nunknown 0.3 0.4\ncomm\xff1 0.1 0.2\n"},
      "vectors.txt:3: invalid UTF-8"),
+    (["ingest", "--format", "instacart", "products.csv", "orders.csv"],
+     {"products.csv": b"product_name,aisle\nred tea,drinks\n",
+      "orders.csv": b"order_id,product_id\n1,1\n"},
+     "products.csv: instacart CSV has no product_id column"),
+    (["ingest", "--format", "instacart", "products.csv", "orders.csv"],
+     {"products.csv": b"product_id,product_name\n1,red tea\n",
+      "orders.csv": b"order_id,sku\n1,1\n"},
+     "orders.csv: instacart CSV has no product_id column"),
 ], ids=["catalog-utf8", "baskets-utf8", "query-catalog-utf8", "ingest-directory",
         "manifest-seed", "scores-utf8", "evaluate-nan-model", "next-nan-model",
-        "pretrained-text-component", "pretrained-nan-component", "pretrained-utf8"])
+        "pretrained-text-component", "pretrained-nan-component", "pretrained-utf8",
+        "instacart-products-no-id", "instacart-orders-no-id"])
 def test_bad_input_file_exits_1_without_traceback(tmp_path, raw_corpus, capsys, argv, files,
                                                   expect):
     _assert_cli_error_exit(tmp_path, raw_corpus, capsys, argv, files, expect)

@@ -197,13 +197,26 @@ def test_cnn_empty_tokens_degenerate():
 
 
 def test_cnn_onehot_equals_pretrained_identity():
+    """An identity table gives one-hot's outputs and gradients bit for bit: both run the
+    same convolution over per-word responses, which the identity leaves unchanged."""
     rng = np.random.default_rng(8)
     v = 5
-    params = init_cnn(v, 4, (2, 3), 3, rng, F64)
-    toks = np.array([0, 3, 2, 4])
-    a = _encode(params, WordInputTable.one_hot(v), toks)
-    b = _encode(params, WordInputTable.pretrained(np.eye(v)), toks)
-    assert np.allclose(a, b, atol=1e-12)
+    toks = title_matrix([[0, 3, 2, 4], [1, v, 1], [4]], v)
+    for dtype in (np.float32, F64):
+        params = init_cnn(v, 4, (2, 3), 3, rng, dtype)
+        for w in params.widths:
+            params.biases[w][:] = rng.normal(0, 0.3, size=3)
+        probe = rng.normal(size=(3, 4)).astype(dtype)
+        results = []
+        for table in (WordInputTable.one_hot(v),
+                      WordInputTable.pretrained(np.eye(v, dtype=dtype))):
+            out, cache = encode_batch(params, table, toks)
+            results.append((out, backward_batch(params, cache, probe, want_input_grads=True)))
+        (a, ga), (b, gb) = results
+        assert a.dtype == dtype and np.array_equal(a, b)
+        assert ga.keys() == gb.keys() == params.as_dict().keys() | {"input"}
+        for name in ga:
+            assert ga[name].dtype == dtype and np.array_equal(ga[name], gb[name]), (dtype, name)
 
 
 def test_init_cnn_rejects_bad_widths():

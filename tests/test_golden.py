@@ -4,8 +4,9 @@ Criterion 8 checks that two runs in one process agree, so a change that moves
 every byte the same way passes it. This test pins the bytes themselves: it runs
 ingest, split, train, evaluate (four methods) and the four queries on
 criterion 8's 60-product corpus (warm mov with dropout 0.2, cold cnn, and a
-fine-tuned pretrained table) and compares the SHA-256 of every artifact and of
-the stdout of ingest, split and the queries with `golden_digests.json`.
+fine-tuned pretrained table under mov and under cnn) and compares the SHA-256
+of every artifact and of the stdout of ingest, split and the queries with
+`golden_digests.json`.
 
 A change that moves bytes on purpose regenerates the file with
 `PYTHONPATH=src python tests/test_golden.py` and logs old -> new digests.
@@ -28,14 +29,14 @@ from bastext.synthetic import make_planted_corpus
 GOLDEN = Path(__file__).resolve().parent / "golden_digests.json"
 METHODS = ("bastext", "pop", "itemknn", "prod2vec")
 TRAIN = ["--k", "16", "--epochs", "3", "--batch-size", "256", "--patience", "100"]
+FINETUNE = ["--k", "8", "--epochs", "4", "--batch-size", "256", "--patience", "100",
+            "--lr", "5e-3", "--dropout", "0.2", "--finetune-pretrained"]
 PIPELINES = {
     "warm-mov": dict(split=[], mode=[], train=[*TRAIN, "--dropout", "0.2"]),
     "cold-cnn": dict(split=["--cold", "--cold-fraction", "0.25"], mode=["--cold"],
                      train=[*TRAIN, "--encoder", "cnn", "--dropout", "0.2"]),
-    "finetune": dict(split=[], mode=[], vectors=True,
-                     train=["--k", "8", "--epochs", "4", "--batch-size", "256",
-                            "--patience", "100", "--lr", "5e-3", "--dropout", "0.2",
-                            "--finetune-pretrained"]),
+    "finetune": dict(split=[], mode=[], vectors=True, train=FINETUNE),
+    "finetune-cnn": dict(split=[], mode=[], vectors=True, train=[*FINETUNE, "--encoder", "cnn"]),
 }
 
 
