@@ -189,9 +189,8 @@ def _resolve(catalog, external_id: str) -> int:
 
 
 def _print_top(catalog, ids, scores) -> None:
-    for i, s in zip(ids, scores):
-        p = catalog.products[i]
-        print(f"{p.external_id}\t{s:.6f}\t{p.title}")
+    for i, s in zip(ids.tolist(), scores):
+        print(f"{catalog.ids[i]}\t{s:.6f}\t{catalog.titles[i]}")
 
 
 def _top_k(scores: np.ndarray, k: int, exclude=()) -> np.ndarray:

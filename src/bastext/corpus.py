@@ -16,26 +16,50 @@ import csv
 import hashlib
 import itertools
 import os
-import re
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# Bytes of lowercase UTF-8 text: ASCII letters and digits stay, every other byte is a space.
+_TOKEN_BYTES = bytes(c if chr(c) in "abcdefghijklmnopqrstuvwxyz0123456789" else 32
+                     for c in range(256))
+
+
+def tokenize_titles(titles) -> tuple[list[str], np.ndarray]:
+    """Every title's runs of lowercase ASCII letters and digits, in one pass.
+
+    Returns `(tokens, lens)`: the tokens of all titles one after another, and each
+    title's token count. Equals `re.findall(r"[a-z0-9]+", title.lower())` per title.
+    The titles are scanned as one space-joined byte string; a title ends where its
+    encoded length says, so no character is reserved as a separator.
+    """
+    encoded = list(map(str.encode, map(str.lower, titles)))
+    data = b" ".join(encoded).translate(_TOKEN_BYTES)
+    ends = np.cumsum(np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded)) + 1)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    starts = np.flatnonzero(np.diff((buf > 32).view(np.int8), prepend=np.int8(0)) > 0)
+    return data.decode("ascii").split(), np.diff(np.searchsorted(starts, ends), prepend=0)
 
 
 def tokenize(title: str) -> list[str]:
-    """Lowercase and split on runs of non-alphanumeric characters."""
-    return _TOKEN_RE.findall(title.lower())
+    """One title's tokens: `tokenize_titles([title])`."""
+    return tokenize_titles([title])[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Product:
+    """One catalog row, as `Catalog.products` shows it."""
+
     id: int
     external_id: str
     title: str
-    tokens: list[str]
+
+    @property
+    def tokens(self) -> list[str]:
+        return tokenize(self.title)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,37 +106,71 @@ class Baskets:
 
 
 class Catalog:
-    """Dense-id product catalog. Ids are contiguous 0..M-1 in insertion order."""
+    """Dense-id product catalog held as columns: product i has external id `ids[i]` and
+    title `titles[i]`; ids are contiguous 0..M-1 in insertion order.
 
-    def __init__(self):
-        self.products: list[Product] = []
-        self._by_external: dict[str, int] = {}
+    The titles are tokenized on first use, all at once, and the result is kept until
+    the next `add`."""
+
+    def __init__(self, ids=(), titles=()):
+        self.ids: list[str] = list(ids)
+        self.titles: list[str] = list(titles)
+        self._by_external: dict[str, int] = dict(zip(self.ids, range(len(self.ids))))
+        if len(self._by_external) != len(self.ids) or len(self.titles) != len(self.ids):
+            raise CorpusError("a catalog needs one title per external id, each id once")
+        self._tokens = None
 
     def __len__(self) -> int:
-        return len(self.products)
+        return len(self.ids)
+
+    @property
+    def products(self) -> _Products:
+        """A read-only sequence of `Product` rows, each made when it is read."""
+        return _Products(self)
+
+    @property
+    def tokens(self) -> tuple[list[str], np.ndarray]:
+        """`tokenize_titles` of every title, computed once."""
+        if self._tokens is None:
+            self._tokens = tokenize_titles(self.titles)
+        return self._tokens
 
     def add(self, external_id: str, title: str) -> int:
         if external_id in self._by_external:
             return self._by_external[external_id]
-        pid = len(self.products)
-        self.products.append(Product(pid, external_id, title, tokenize(title)))
+        pid = len(self.ids)
+        self.ids.append(external_id)
+        self.titles.append(title)
         self._by_external[external_id] = pid
+        self._tokens = None
         return pid
 
     def get(self, external_id: str) -> int | None:
         return self._by_external.get(external_id)
 
     def external_ids(self) -> list[str]:
-        return [p.external_id for p in self.products]
+        return list(self.ids)
+
+    def tsv(self) -> str:
+        """The `externalId<TAB>title<LF>` lines of `catalog.tsv`, in id order."""
+        return "".join(f"{e}\t{t}\n" for e, t in zip(self.ids, self.titles))
 
     def content_hash(self) -> str:
-        h = hashlib.sha256()
-        for p in self.products:
-            h.update(p.external_id.encode())
-            h.update(b"\t")
-            h.update(p.title.encode())
-            h.update(b"\n")
-        return h.hexdigest()
+        return hashlib.sha256(self.tsv().encode()).hexdigest()
+
+
+class _Products(Sequence):
+    def __init__(self, catalog: Catalog):
+        self._catalog = catalog
+
+    def __len__(self) -> int:
+        return len(self._catalog.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        pid = range(len(self))[i]
+        return Product(pid, self._catalog.ids[pid], self._catalog.titles[pid])
 
 
 @dataclass
@@ -174,7 +232,9 @@ def import_dataset(fmt: str, paths: list[str | Path]) -> tuple[Catalog, Baskets,
     Duplicate products within one transaction collapse to a set; baskets that end
     up with fewer than 2 products and products with empty titles are dropped, and
     a canonical basket line naming an id without a catalog line is skipped, with
-    the counts reported in `IngestStats`.
+    the counts reported in `IngestStats`. A CSV row whose product id is blank or
+    holds whitespace is skipped and counted, and line breaks in a CSV title become
+    spaces, so that the canonical files written from the result read back the same.
     """
     paths = [Path(p) for p in paths]
     for p in paths:
@@ -215,14 +275,9 @@ def read_catalog(path) -> Catalog:
 
 def _catalog_from_titles(titles: dict[str, str]) -> tuple[Catalog, int]:
     """Products in title order, without those whose title is blank (their count is returned)."""
-    catalog = Catalog()
-    dropped = 0
-    for ext, title in titles.items():
-        if title.strip():
-            catalog.add(ext, title)
-        else:
-            dropped += 1
-    return catalog, dropped
+    keep = list(map(str.strip, titles.values()))  # a blank title strips to ""
+    catalog = Catalog(itertools.compress(titles, keep), itertools.compress(titles.values(), keep))
+    return catalog, len(titles) - len(catalog)
 
 
 def _read_lines(path: Path, error: type[Exception] = CorpusError) -> list[str]:
@@ -254,6 +309,16 @@ def _read_titles(path: Path) -> tuple[dict[str, str], int]:
         ext, title = line.split("\t", 1)
         titles[ext] = title
     return titles, skipped
+
+
+# Every line break `str.splitlines` knows.
+_LINE_BREAKS = dict.fromkeys(map(ord, "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"), " ")
+
+
+def _single_line(titles: dict[str, str]) -> dict[str, str]:
+    """The titles with each line break replaced by a space, so that each stays on its
+    `catalog.tsv` line; their tokens do not change."""
+    return {ext: title.translate(_LINE_BREAKS) for ext, title in titles.items()}
 
 
 def _transactions(groups: dict[str, set[str]]):
@@ -316,13 +381,13 @@ def _read_onlineretail(paths: list[Path]):
             raise CorpusError("onlineretail CSV must have invoice/stockcode/description columns")
         width = max(inv, stock, desc) + 1
         for row in reader:
-            if len(row) < width or not row[inv].strip() or not row[stock].strip():
+            if len(row) < width or not row[inv].strip() or len(row[stock].split()) != 1:
                 skipped += 1
                 continue
             ext = row[stock].strip()
             titles.setdefault(ext, row[desc].strip())
             groups.setdefault(row[inv].strip(), set()).add(ext)
-    return titles, *_transactions(groups), skipped
+    return _single_line(titles), *_transactions(groups), skipped
 
 
 def _read_instacart(paths: list[Path]):
@@ -354,7 +419,7 @@ def _read_instacart(paths: list[Path]):
             if pid is None:
                 raise CorpusError(f"{p}: instacart CSV has no product_id column")
             for row in reader:
-                if len(row) <= max(pid, name) or not row[pid].strip():
+                if len(row) <= max(pid, name) or len(row[pid].split()) != 1:
                     skipped += 1
                     continue
                 titles.setdefault(row[pid].strip(), row[name].strip())
@@ -367,13 +432,14 @@ def _read_instacart(paths: list[Path]):
             if pid is None:
                 raise CorpusError(f"{p}: instacart CSV has no product_id column")
             for row in reader:
-                if len(row) <= max(oid, pid) or not row[oid].strip() or not row[pid].strip():
+                if (len(row) <= max(oid, pid) or not row[oid].strip()
+                        or len(row[pid].split()) != 1):
                     skipped += 1
                     continue
                 members = groups.setdefault(row[oid].strip(), set())
                 if row[pid].strip() in titles:  # a product without a title leaves its order
                     members.add(row[pid].strip())
-    return titles, *_transactions(groups), skipped
+    return _single_line(titles), *_transactions(groups), skipped
 
 
 @contextlib.contextmanager
@@ -394,8 +460,8 @@ def atomic_write(path, mode: str = "w"):
 def write_canonical(catalog: Catalog, baskets: Baskets, catalog_path, baskets_path) -> None:
     """Serialize to the canonical two-file format (round-trips through import_dataset)."""
     with atomic_write(catalog_path) as fh:
-        fh.writelines(f"{p.external_id}\t{p.title}\n" for p in catalog.products)
-    ext = np.array(catalog.external_ids(), dtype=object)[baskets.indices].tolist()
+        fh.write(catalog.tsv())
+    ext = np.array(catalog.ids, dtype=object)[baskets.indices].tolist()
     bounds = baskets.indptr.tolist()
     with atomic_write(baskets_path) as fh:
         fh.writelines(" ".join(ext[a:b]) + "\n" for a, b in zip(bounds, bounds[1:]))
@@ -409,15 +475,13 @@ def build_vocabulary(catalog: Catalog, min_count: int = 1) -> Vocabulary:
     """Count title tokens and keep those with count >= min_count; the rest map to UNK."""
     if len(catalog) == 0:
         raise CorpusError("cannot build vocabulary from an empty catalog")
-    counts: dict[str, int] = {}
-    for p in catalog.products:
-        for t in p.tokens:
-            counts[t] = counts.get(t, 0) + 1
+    counts = Counter(catalog.tokens[0])
     kept = sorted(w for w, c in counts.items() if c >= min_count)
     if not kept:
         raise CorpusError(f"vocabulary is empty at min_count={min_count}")
-    word_to_index = {w: i for i, w in enumerate(kept)}
-    return Vocabulary(word_to_index, np.array([counts[w] for w in kept], dtype=np.int64), min_count)
+    return Vocabulary(dict(zip(kept, range(len(kept)))),
+                      np.fromiter(map(counts.__getitem__, kept), dtype=np.int64, count=len(kept)),
+                      min_count)
 
 
 def title_matrix(token_lists, vocab_size: int) -> np.ndarray:
@@ -425,17 +489,23 @@ def title_matrix(token_lists, vocab_size: int) -> np.ndarray:
 
     UNK = V counts toward a title's length; the PAD = V + 1 that fills the row does not."""
     lens = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
+    return _pad_titles(np.fromiter(itertools.chain.from_iterable(token_lists), dtype=np.int64,
+                                   count=int(lens.sum())), lens, vocab_size)
+
+
+def _pad_titles(flat: np.ndarray, lens: np.ndarray, vocab_size: int) -> np.ndarray:
+    """The title matrix of the titles `flat` holds one after another, `lens[p]` ids each."""
     out = np.full((len(lens), lens.max(initial=0)), vocab_size + 1, dtype=np.int64)
-    out[np.arange(out.shape[1]) < lens[:, None]] = np.fromiter(
-        itertools.chain.from_iterable(token_lists), dtype=np.int64, count=int(lens.sum()))
+    out[np.arange(out.shape[1]) < lens[:, None]] = flat
     return out
 
 
 def encode_catalog(catalog: Catalog, vocab: Vocabulary) -> np.ndarray:
     """The catalog's title matrix, with out-of-vocabulary tokens mapped to UNK."""
-    index, unk = vocab.word_to_index, vocab.unk_index  # `vocab.encode` per title is 1.5x slower
-    return title_matrix([[index.get(t, unk) for t in p.tokens] for p in catalog.products],
-                        vocab.size)
+    tokens, lens = catalog.tokens
+    ids = np.fromiter(map(vocab.word_to_index.get, tokens, itertools.repeat(vocab.unk_index)),
+                      dtype=np.int64, count=len(tokens))
+    return _pad_titles(ids, lens, vocab.size)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +580,7 @@ _PARTS = {"train": 0, "validation": 1, "test": 2}
 
 def save_split_manifest(split: DatasetSplit, catalog: Catalog, path) -> None:
     """Text manifest of sourceIds per split (plus mode/seed/cold products) for bit-exact reload."""
-    ext = catalog.external_ids()
+    ext = catalog.ids
     with atomic_write(path) as fh:
         fh.write(f"mode\t{split.mode}\nseed\t{split.seed}\n")
         for name in _PARTS:

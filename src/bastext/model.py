@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import struct
 import time
 from dataclasses import asdict, dataclass, replace
@@ -380,32 +381,40 @@ def save_model(state: ModelState, path) -> None:
 
 
 def load_model(path) -> ModelState:
+    """The model saved at `path`. Its tensors are writable views of one buffer that the
+    file is read into, placed so that they start 4-byte aligned: no tensor is copied."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            head = fh.read(16)
+            hlen = struct.unpack_from("<Q", head, 8)[0] if len(head) == 16 else 0
+            pad = -(16 + hlen) % 4  # puts the first tensor at a multiple of 4 in `data`
+            data = bytearray(pad + max(os.fstat(fh.fileno()).st_size, len(head)))
+            view = memoryview(data)[pad:]
+            view[:len(head)] = head
+            size = len(head) + fh.readinto(view[len(head):])
     except OSError as exc:
         raise ModelError(f"{path}: cannot read model file: {exc.strerror}") from exc
-    if len(data) < 16 or data[:4] != MODEL_MAGIC:
+    view = view[:size]
+    if size < 16 or view[:4] != MODEL_MAGIC:
         raise ModelError(f"{path}: not a model file (bad magic)")
-    (version,) = struct.unpack_from("<I", data, 4)
+    (version,) = struct.unpack_from("<I", view, 4)
     if version != MODEL_VERSION:
         raise ModelError(f"{path}: unsupported model version {version}")
-    (hlen,) = struct.unpack_from("<Q", data, 8)
-    if len(data) < 16 + hlen:
+    if size < 16 + hlen:
         raise ModelError(f"{path}: truncated header")
     try:
-        return _decode_model(data, hlen, path)
+        return _decode_model(view, hlen, path)
     except (ValueError, KeyError, TypeError) as exc:
         raise ModelError(f"{path}: corrupt model header: {exc!r}") from exc
 
 
-def _decode_model(data: bytes, hlen: int, path) -> ModelState:
-    header = json.loads(data[16: 16 + hlen].decode("utf-8"))
+def _decode_model(data: memoryview, hlen: int, path) -> ModelState:
+    header = json.loads(bytes(data[16: 16 + hlen]).decode("utf-8"))
     cfg_dict = dict(header["config"])
     cfg_dict["cnn_widths"] = tuple(cfg_dict["cnn_widths"])
     config = ModelConfig(**cfg_dict)
     vw = header["vocab"]
-    vocab = Vocabulary({w: i for i, w in enumerate(vw["words"])},
+    vocab = Vocabulary(dict(zip(vw["words"], range(len(vw["words"])))),
                        np.array(vw["counts"], dtype=np.int64), vw["min_count"])
     offset = 16 + hlen
     tensors = {}
@@ -413,10 +422,11 @@ def _decode_model(data: bytes, hlen: int, path) -> ModelState:
         shape = tuple(spec["shape"])
         count = int(np.prod(shape)) if shape else 1
         end = offset + 4 * count
+        if count < 0:
+            raise ValueError(f"negative dimension in tensor {spec['name']!r}")
         if end > len(data):
             raise ModelError(f"{path}: truncated tensor {spec['name']!r}")
-        tensors[spec["name"]] = np.frombuffer(
-            data[offset:end], dtype="<f4").reshape(shape).copy()
+        tensors[spec["name"]] = np.frombuffer(data, "<f4", count, offset).reshape(shape)
         if not np.isfinite(tensors[spec["name"]]).all():
             raise ModelError(f"{path}: non-finite values in tensor '{spec['name']}'")
         offset = end

@@ -26,7 +26,7 @@ import pytest
 import bastext
 from bastext import cli, corpus
 from bastext.baselines import PopModel
-from bastext.synthetic import make_planted_corpus
+from bastext.synthetic import make_planted_corpus, make_random_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
 # Per-layer metrics that the workload process adds beside `layer_metrics`'s.
@@ -151,3 +151,30 @@ def test_traced_pipeline_reports_every_layer_metric(tmp_path, capsys, encoder, c
         catalog_run, baskets_run)
     pop = PopModel.fit(split_run.train, len(catalog_run))
     assert (positives, num_products) == (pop.counts.sum(), len(catalog))
+
+
+def _corpus_spans_of_similar(work: Path, num_products: int) -> list[str]:
+    """The `corpus.*` span names of one traced `similar` query on a random catalog."""
+    catalog, baskets = make_random_corpus(num_products, 300, seed=4)
+    work.mkdir()
+    corpus.write_canonical(catalog, baskets, work / "catalog.tsv", work / "baskets.txt")
+    out = str(work / "run")
+    for argv in (["ingest", "--format", "canonical", str(work / "catalog.tsv"),
+                  str(work / "baskets.txt")], ["split"],
+                 ["train", "--k", "8", "--epochs", "1", "--batch-size", "512"]):
+        assert cli.main([*argv, "--out", out]) == 0
+    tracer = _bench_tracer().Tracer()
+    tracer.install(bastext)
+    try:
+        assert cli.main(["similar", catalog.ids[0], "--out", out]) == 0
+    finally:
+        tracer.uninstall()
+    return sorted(s[0] for s in tracer.spans if s[0].startswith("corpus."))
+
+
+def test_query_corpus_spans_do_not_grow_with_the_catalog(tmp_path, capsys):
+    """A traced call per title would add thousands of spans to every bench query."""
+    small = _corpus_spans_of_similar(tmp_path / "small", 60)
+    large = _corpus_spans_of_similar(tmp_path / "large", 600)
+    capsys.readouterr()
+    assert small and small == large

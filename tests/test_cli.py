@@ -260,6 +260,45 @@ def test_malformed_input_reports_error(tmp_path, capsys):
     assert captured.err.startswith("error:")
 
 
+def _ingest_twice(tmp_path, capsys, fmt: str, raw: Path) -> str:
+    """Ingests `raw`, then the canonical files that wrote; both must write the same bytes.
+    Returns the first ingest's stdout."""
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert _run(["ingest", "--format", fmt, raw, "--out", first]) == 0
+    report = capsys.readouterr().out
+    canon = [first / "corpus" / "catalog.tsv", first / "corpus" / "baskets.txt"]
+    assert _run(["ingest", "--format", "canonical", *canon, "--out", again]) == 0
+    assert capsys.readouterr().out == report.partition(";")[0] + (
+        "; dropped 0 small baskets, 0 empty-title products, skipped 0 malformed rows\n")
+    for name in ("catalog.tsv", "baskets.txt"):
+        assert (again / "corpus" / name).read_bytes() == (first / "corpus" / name).read_bytes()
+    return report
+
+
+def test_ingest_csv_title_line_break_becomes_a_space(tmp_path, capsys):
+    """A quoted description across two lines stays one catalog line and one title."""
+    raw = tmp_path / "retail.csv"
+    raw.write_text('InvoiceNo,StockCode,Description\n1,A,"red\nwine"\n1,B,white\r\n'
+                   '2,A,"red\nwine"\n2,B,white\n', encoding="utf-8")
+    report = _ingest_twice(tmp_path, capsys, "onlineretail", raw)
+    assert "skipped 0 malformed rows" in report
+    catalog = corpus.read_catalog(tmp_path / "first" / "corpus" / "catalog.tsv")
+    assert catalog.titles == ["red wine", "white"]
+    assert corpus.tokenize(catalog.titles[0]) == ["red", "wine"]
+
+
+def test_ingest_skips_csv_row_whose_product_id_holds_whitespace(tmp_path, capsys):
+    """A stock code `A 1` would be two ids in `baskets.txt`: its rows are skipped and
+    counted, like rows with a blank stock code."""
+    raw = tmp_path / "retail.csv"
+    raw.write_text("InvoiceNo,StockCode,Description\n1,A 1,red wine\n1,B,white tea\n"
+                   "2,A 1,red wine\n2,C,green tea\n3,A 1,red wine\n3,B,white tea\n"
+                   "3,C,green tea\n4, ,blank\n4,B,white tea\n", encoding="utf-8")
+    report = _ingest_twice(tmp_path, capsys, "onlineretail", raw)
+    assert report.startswith("ingested 1 baskets over 2 products")
+    assert "dropped 3 small baskets" in report and "skipped 4 malformed rows" in report
+
+
 @pytest.mark.parametrize("argv", [
     ["split", "--cold", "--cold-fraction", "1.5"],
     ["split", "--ratios", "0.8,x"],

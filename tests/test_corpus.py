@@ -1,12 +1,16 @@
+import hashlib
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bastext.corpus import (Catalog, CorpusError, IngestStats, atomic_write, build_vocabulary,
                             encode_catalog, import_dataset, leave_one_out, load_split_manifest,
                             read_catalog, save_split_manifest, split_cold, split_warm,
-                            title_matrix, tokenize, write_canonical)
+                            title_matrix, tokenize, tokenize_titles, write_canonical)
 from bastext.model import ModelConfig, _sample_negative_matrix, init_model, save_model
 from bastext.synthetic import make_random_corpus
 
@@ -34,6 +38,58 @@ def test_tokenize_lowercase_alnum_only(s):
     for tok in tokenize(s):
         assert tok == tok.lower()
         assert tok.isalnum()
+
+
+# Separators a title may hold: `|`, tabs, every `str.splitlines` break, and the two
+# non-ASCII letters that lowercase to ASCII ones (İ -> "i" + U+0307, Kelvin sign -> "k").
+_TRICKY = ["|", "\t", " ", "İ", "\u212a", "Ab", "9",
+           *"\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"]
+_TITLES = st.lists(st.one_of(st.text(max_size=30),
+                             st.lists(st.sampled_from(_TRICKY), max_size=12).map("".join)),
+                   max_size=20)
+
+
+@given(_TITLES)
+@example(["", "|a|b|", "x\ty", "İstanbul \u212aelvin", "a\u2028b\x85c\r\nd", ""])
+@example([])
+def test_catalog_tokenizer_equals_per_title_regex(titles):
+    """One pass over the joined titles gives each title's `[a-z0-9]+` runs of its
+    lowercase form; the catalog hash equals the old per-field SHA-256 feed."""
+    want = [re.findall(r"[a-z0-9]+", t.lower()) for t in titles]
+    tokens, lens = tokenize_titles(titles)
+    assert tokens == [tok for ts in want for tok in ts]
+    assert lens.dtype == np.int64 and lens.tolist() == [len(ts) for ts in want]
+    assert [tokenize(t) for t in titles] == want
+
+    cat = Catalog([f"p{i}" for i in range(len(titles))], titles)
+    assert cat.tokens[0] == tokens and cat.tokens[1].tolist() == lens.tolist()
+    if any(want):
+        vocab = build_vocabulary(cat)
+        assert dict(zip(vocab.words(), vocab.counts.tolist())) == Counter(
+            tok for ts in want for tok in ts)
+        assert np.array_equal(encode_catalog(cat, vocab), title_matrix(
+            [vocab.encode(ts) for ts in want], vocab.size))
+    h = hashlib.sha256()
+    for i, t in enumerate(titles):
+        h.update(f"p{i}".encode())
+        h.update(b"\t")
+        h.update(t.encode())
+        h.update(b"\n")
+    assert cat.content_hash() == h.hexdigest()
+
+
+def test_catalog_add_forgets_its_tokens():
+    cat = Catalog(["x"], ["red tea"])
+    assert cat.tokens[0] == ["red", "tea"]
+    cat.add("y", "Green TEA")
+    assert cat.tokens[0] == ["red", "tea", "green", "tea"]
+    assert cat.tokens[1].tolist() == [2, 2]
+    assert cat.products[-1] == cat.products[1]
+    assert (cat.products[1].external_id, cat.products[1].title) == ("y", "Green TEA")
+    assert cat.products[1].tokens == ["green", "tea"]
+    assert [p.id for p in cat.products] == [0, 1]
+    with pytest.raises(IndexError):
+        cat.products[2]
 
 
 # ---------------------------------------------------------------------------

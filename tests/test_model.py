@@ -484,6 +484,31 @@ def test_save_is_byte_stable(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("encoder", ["mov", "cnn"])
+def test_load_gives_writable_separate_tensors(tmp_path, encoder):
+    """Loaded tensors are aligned, writable, C-contiguous views that share no bytes, for
+    every header length mod 4, and saving a loaded model writes the same bytes."""
+    _, _, state, _ = _train_small(epochs=1, encoder=encoder, use_bias=True)
+    for extra in range(4):
+        state.catalog_hash = "h" * extra
+        path = tmp_path / f"model{extra}.bin"
+        save_model(state, path)
+        back = load_model(path)
+        tensors = back.named_params()
+        assert len(tensors) == len(state.named_params())
+        for name, t in tensors.items():
+            assert t.dtype == np.float32, name
+            assert t.flags.writeable and t.flags.c_contiguous and t.flags.aligned, name
+        before = {name: t.copy() for name, t in tensors.items()}
+        for name, t in tensors.items():
+            t[...] = 7.0
+            assert all(np.array_equal(u, before[other]) for other, u in tensors.items()
+                       if other != name), name
+            t[...] = before[name]
+        save_model(back, tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+
 def test_load_truncated_fatal(tmp_path):
     _, _, state, _ = _train_small(epochs=1)
     path = tmp_path / "model.bin"
@@ -528,6 +553,25 @@ def test_load_missing_header_key_fatal(tmp_path):
 
     path.write_bytes(_rewrite_header(path.read_bytes(), drop_hash))
     with pytest.raises(ModelError, match="catalog_hash"):
+        load_model(path)
+
+
+def test_load_negative_tensor_shape_fatal(tmp_path):
+    """A tensor view is taken with the header's element count; a negative one would
+    make it reach to the end of the file."""
+    import json
+
+    _, _, state, _ = _train_small(epochs=1)
+    path = tmp_path / "model.bin"
+    save_model(state, path)
+
+    def negate(h):
+        header = json.loads(h)
+        header["tensors"][0]["shape"][0] *= -1
+        return json.dumps(header).encode()
+
+    path.write_bytes(_rewrite_header(path.read_bytes(), negate))
+    with pytest.raises(ModelError, match="negative dimension"):
         load_model(path)
 
 
