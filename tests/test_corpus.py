@@ -40,8 +40,9 @@ def test_tokenize_lowercase_alnum_only(s):
         assert tok.isalnum()
 
 
-# Separators a title may hold: `|`, tabs, every `str.splitlines` break, and the two
-# non-ASCII letters that lowercase to ASCII ones (İ -> "i" + U+0307, Kelvin sign -> "k").
+# Pieces of titles the tokenizer must split right: `|`, tabs, every `str.splitlines`
+# break, and the two non-ASCII letters that lowercase to ASCII (İ -> "i" + U+0307,
+# Kelvin sign -> "k").
 _TRICKY = ["|", "\t", " ", "İ", "\u212a", "Ab", "9",
            *"\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"]
 _TITLES = st.lists(st.one_of(st.text(max_size=30),
@@ -53,8 +54,8 @@ _TITLES = st.lists(st.one_of(st.text(max_size=30),
 @example(["", "|a|b|", "x\ty", "İstanbul \u212aelvin", "a\u2028b\x85c\r\nd", ""])
 @example([])
 def test_catalog_tokenizer_equals_per_title_regex(titles):
-    """One pass over the joined titles gives each title's `[a-z0-9]+` runs of its
-    lowercase form; the catalog hash equals the old per-field SHA-256 feed."""
+    """One pass over all titles gives each title's `[a-z0-9]+` runs of its lowercase
+    form; the catalog hash equals SHA-256 fed one field at a time."""
     want = [re.findall(r"[a-z0-9]+", t.lower()) for t in titles]
     tokens, lens = tokenize_titles(titles)
     assert tokens == [tok for ts in want for tok in ts]
