@@ -96,7 +96,6 @@ def cmd_split(args) -> int:
 def _model_config(args) -> model.ModelConfig:
     return model.ModelConfig(
         k=args.k, negatives=args.neg, encoder=args.encoder,
-        pretrained=args.pretrained is not None,
         finetune_pretrained=args.finetune_pretrained,
         batch_size=args.batch_size, learning_rate=args.lr, dropout=args.dropout,
         epochs=args.epochs, seed=args.seed, patience=args.patience)
@@ -244,9 +243,10 @@ def cmd_next(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
+def _add_common(p, seed: bool = False):
     p.add_argument("--out", default="run", help="output directory (default: run)")
-    p.add_argument("--seed", type=int, default=0)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility; currently has no effect")
 
@@ -254,7 +254,8 @@ def _add_common(p):
 def _add_model_flags(p):
     p.add_argument("--encoder", choices=["mov", "cnn"], default="mov")
     p.add_argument("--pretrained", default=None, help="pretrained word-vector file")
-    p.add_argument("--finetune-pretrained", action="store_true")
+    p.add_argument("--finetune-pretrained", action="store_true",
+                   help="tune the --pretrained vectors with the model")
     p.add_argument("--k", type=int, default=64)
     p.add_argument("--neg", type=int, default=8)
     p.add_argument("--batch-size", type=int, default=1024)
@@ -281,13 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratios", default="0.85,0.05,0.10")
     p.add_argument("--cold", action="store_true")
     p.add_argument("--cold-fraction", type=float, default=0.10)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train", help="train the basket-text model")
     p.add_argument("--cold", action="store_true", help="train on the cold split")
     _add_model_flags(p)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="rank test cases and report Recall/MRR")
@@ -301,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ns", default="10,20", help="comma-separated N values")
     p.add_argument("--k", type=int, default=64)
     p.add_argument("--neg", type=int, default=8)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_evaluate)
 
     for name, fn, extra in (("similar", cmd_similar, "product"),

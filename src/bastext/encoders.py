@@ -34,21 +34,23 @@ class EncoderError(RuntimeError):
 
 @dataclass
 class WordInputTable:
-    """Per-word input vectors: one-hot rows (dim = V) or a pretrained V x d matrix."""
+    """Per-word input vectors: one-hot rows (dim = V) when `vectors` is None, else a
+    pretrained V x d matrix."""
 
-    mode: str  # "onehot" | "pretrained"
-    dim: int
     vocab_size: int
     vectors: np.ndarray | None = None  # (V, d), pretrained only
 
+    @property
+    def dim(self) -> int:
+        return self.vocab_size if self.vectors is None else self.vectors.shape[1]
+
     @classmethod
     def one_hot(cls, vocab_size: int) -> "WordInputTable":
-        return cls("onehot", vocab_size, vocab_size)
+        return cls(vocab_size)
 
     @classmethod
     def pretrained(cls, vectors: np.ndarray) -> "WordInputTable":
-        v, d = vectors.shape
-        return cls("pretrained", d, v, vectors)
+        return cls(len(vectors), vectors)
 
 
 def load_pretrained_vectors(path, vocab: Vocabulary) -> tuple[WordInputTable, float]:
@@ -100,12 +102,38 @@ def load_pretrained_vectors(path, vocab: Vocabulary) -> tuple[WordInputTable, fl
 # Parameters
 # ---------------------------------------------------------------------------
 
+def _take(tensors: dict[str, np.ndarray], prefix: str,
+          shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """`tensors[prefix + name]` for every name in `shapes`, each checked to have its shape."""
+    out = {}
+    for name, shape in shapes.items():
+        t = tensors.get(prefix + name)
+        if t is None:
+            raise EncoderError(f"missing tensor {prefix + name!r}")
+        if t.shape != shape:
+            raise EncoderError(f"tensor {prefix + name!r} has shape {t.shape}, expected {shape}")
+        out[name] = t
+    return out
+
+
+def _check_widths(widths: tuple[int, ...]) -> None:
+    if not widths or list(widths) != sorted(set(widths)) or min(widths) < 1:
+        raise EncoderError(f"filter widths must be strictly increasing positive ints: {widths}")
+
+
 @dataclass
 class MovParams:
     W: np.ndarray  # (d, K)
 
     def as_dict(self) -> dict[str, np.ndarray]:
         return {"W": self.W}
+
+    @classmethod
+    def from_dict(cls, tensors: dict[str, np.ndarray], input_dim: int, k: int,
+                  prefix: str = "") -> "MovParams":
+        """The inverse of `as_dict`, reading `prefix + name`; every shape must be the one
+        `input_dim` and `k` imply."""
+        return cls(**_take(tensors, prefix, {"W": (input_dim, k)}))
 
 
 @dataclass
@@ -125,6 +153,22 @@ class CnnParams:
         out["proj_bias"] = self.proj_bias
         return out
 
+    @classmethod
+    def from_dict(cls, tensors: dict[str, np.ndarray], input_dim: int, k: int,
+                  widths: tuple[int, ...], num_filters: int, prefix: str = "") -> "CnnParams":
+        """The inverse of `as_dict`, reading `prefix + name`; every name and shape must be
+        the one `input_dim`, `k`, `widths` and `num_filters` imply."""
+        _check_widths(widths)
+        shapes = {}
+        for w in widths:
+            shapes[f"conv{w}"] = (num_filters, w, input_dim)
+            shapes[f"bias{w}"] = (num_filters,)
+        shapes["proj"] = (num_filters * len(widths), k)
+        shapes["proj_bias"] = (k,)
+        t = _take(tensors, prefix, shapes)
+        return cls(tuple(widths), {w: t[f"conv{w}"] for w in widths},
+                   {w: t[f"bias{w}"] for w in widths}, t["proj"], t["proj_bias"])
+
 
 def init_mov(input_dim: int, k: int, rng: np.random.Generator, dtype=np.float32) -> MovParams:
     bound = 1.0 / np.sqrt(input_dim)
@@ -133,8 +177,7 @@ def init_mov(input_dim: int, k: int, rng: np.random.Generator, dtype=np.float32)
 
 def init_cnn(input_dim: int, k: int, widths: tuple[int, ...], num_filters: int,
              rng: np.random.Generator, dtype=np.float32) -> CnnParams:
-    if list(widths) != sorted(set(widths)) or min(widths) < 1:
-        raise EncoderError(f"filter widths must be strictly increasing positive ints: {widths}")
+    _check_widths(widths)
     bound = 1.0 / np.sqrt(input_dim)
     filters = {w: rng.uniform(-bound, bound, size=(num_filters, w, input_dim)).astype(dtype)
                for w in widths}
@@ -171,7 +214,7 @@ def _mov_forward(params: MovParams, table: WordInputTable, token_ids, dropout_ra
     dtype = params.W.dtype
     S = _mean_matrix(token_ids, table.vocab_size, dtype)
     # the mean input vector: S itself for one-hot words
-    x = S if table.mode == "onehot" else np.asarray(S @ table.vectors.astype(dtype, copy=False))
+    x = S if table.vectors is None else np.asarray(S @ table.vectors.astype(dtype, copy=False))
     pre = np.asarray(x @ params.W)
     h = np.maximum(pre, 0)
     mask = _dropout_mask(h.shape, dropout_rate, rng, dtype)
@@ -203,7 +246,7 @@ def _cnn_forward(params: CnnParams, table: WordInputTable, token_ids, dropout_ra
     T = np.minimum(token_ids[:, :lmax], v)  # PAD reads as UNK: a zero vector
     T = np.pad(T, ((0, 0), (0, lmax - T.shape[1])), constant_values=v)
 
-    vecs = None if table.mode == "onehot" else table.vectors.astype(dtype, copy=False)
+    vecs = None if table.vectors is None else table.vectors.astype(dtype, copy=False)
     pooled_parts = []
     per_width = {}
     for w in params.widths:
@@ -261,7 +304,7 @@ def _cnn_backward(params: CnnParams, cache, d_out, want_input_grads):
         d_resp = np.stack([
             scatter_rows((T[p_idx, tstar + o] * nf + np.arange(nf)).ravel(), val.ravel(),
                          (v + 1) * nf).reshape(v + 1, nf)[:v] for o in range(w)])
-        if table.mode == "onehot":
+        if table.vectors is None:
             grads[f"conv{w}"] = d_resp.transpose(2, 0, 1)
         else:
             grads[f"conv{w}"] = np.tensordot(d_resp, table.vectors.astype(fw.dtype, copy=False),

@@ -21,13 +21,14 @@ import numpy as np
 from scipy.special import expit
 
 from .corpus import Baskets, Catalog, Vocabulary, atomic_write, encode_catalog, leave_one_out
-from .encoders import (CnnParams, MovParams, WordInputTable, backward_batch,
+from .encoders import (CnnParams, EncoderError, MovParams, WordInputTable, backward_batch,
                        encode_batch, init_cnn, init_mov)
 from .evaluation import ContextScorer, TestCases, rank_cases
 from .kernels import scatter_rows, segment_mean
 
 MODEL_MAGIC = b"BSTX"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class ModelError(RuntimeError):
@@ -39,21 +40,16 @@ class ModelConfig:
     k: int = 64
     negatives: int = 8
     encoder: str = "mov"  # "mov" | "cnn"
-    pretrained: bool = False
-    finetune_pretrained: bool = False
+    finetune_pretrained: bool = False  # Adam tunes the pretrained word table too
     cnn_widths: tuple[int, ...] = (2, 3)
     cnn_filters: int = 64
     batch_size: int = 1024
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     dropout: float = 0.2
     epochs: int = 30
     seed: int = 0
     patience: int = 3
     use_bias: bool = False  # optional global score bias, off by default
-    tied_init: bool = True  # start both towers from the same draw (see init_model)
     validation_sample: int = 2000  # test cases sampled for per-epoch Recall@20
 
     def __post_init__(self):
@@ -86,7 +82,14 @@ class ModelState:
         out.update({f"C/{k}": v for k, v in self.params_c.as_dict().items()})
         if self.config.use_bias:
             out["bias"] = self.bias
-        if self.config.pretrained and self.config.finetune_pretrained:
+        if self.config.finetune_pretrained:
+            out["table"] = self.table.vectors
+        return out
+
+    def file_tensors(self) -> dict[str, np.ndarray]:
+        """Every tensor a model file holds: the tuned ones, plus any pretrained word table."""
+        out = self.named_params()
+        if self.table.vectors is not None:
             out["table"] = self.table.vectors
         return out
 
@@ -99,30 +102,28 @@ class ProductVectors:
 
 def init_model(config: ModelConfig, vocab: Vocabulary, table: WordInputTable | None = None,
                dtype=np.float32, catalog_hash: str = "") -> ModelState:
-    """Fresh model state.
+    """Fresh model state over `table` (one-hot rows of the vocabulary when None).
 
-    With `tied_init` (the default) both towers start from the identical random
-    draw and diverge only through their gradients. Starting from the same point
-    makes every candidate/context dot product positive for products that share
-    tokens, which bootstraps learning: with both outputs ReLU-clamped to the
-    nonnegative orthant, independently drawn towers frequently start (and stay)
-    near-orthogonal, and whole co-purchase clusters then never receive a usable
-    positive gradient.
+    Both towers start from the identical random draw and diverge only through
+    their gradients. Starting from the same point makes every candidate/context
+    dot product positive for products that share tokens, which bootstraps
+    learning: with both outputs ReLU-clamped to the nonnegative orthant,
+    independently drawn towers frequently start (and stay) near-orthogonal, and
+    whole co-purchase clusters then never receive a usable positive gradient.
     """
     if table is None:
         table = WordInputTable.one_hot(vocab.size)
-    if config.pretrained and config.finetune_pretrained:  # Adam tunes a copy, not the caller's
+    if config.finetune_pretrained:  # Adam tunes a copy, not the caller's
+        if table.vectors is None:
+            raise ModelError("finetune_pretrained needs a pretrained word table")
         table = replace(table, vectors=table.vectors.astype(dtype, copy=True))
     rng = np.random.default_rng(config.seed)
-    d = table.dim
-
-    def make(r):
-        if config.encoder == "mov":
-            return init_mov(d, config.k, r, dtype)
-        return init_cnn(d, config.k, config.cnn_widths, config.cnn_filters, r, dtype)
-
-    params_e = make(rng)
-    params_c = make(rng) if not config.tied_init else copy.deepcopy(params_e)
+    if config.encoder == "mov":
+        params_e = init_mov(table.dim, config.k, rng, dtype)
+    else:
+        params_e = init_cnn(table.dim, config.k, config.cnn_widths, config.cnn_filters, rng,
+                            dtype)
+    params_c = copy.deepcopy(params_e)
     state = ModelState(config, vocab, table, params_e, params_c,
                        np.zeros(1, dtype=dtype), {}, {}, 0, catalog_hash)
     for name, p in state.named_params().items():
@@ -175,9 +176,8 @@ def _loss_arrays(state: ModelState, token_ids: np.ndarray,
     example e, so negatives share their positive's context.
     """
     cfg = state.config
-    dtype = state.params_e.as_dict()["proj" if cfg.encoder == "cnn" else "W"].dtype
     drop = cfg.dropout if training else 0.0
-    want_input = cfg.pretrained and cfg.finetune_pretrained
+    want_input = cfg.finetune_pretrained
 
     ucand, cand_inv = np.unique(cand_ids, return_inverse=True)
     uctx, ctx_inv = np.unique(ctx_flat, return_inverse=True)
@@ -185,6 +185,7 @@ def _loss_arrays(state: ModelState, token_ids: np.ndarray,
                                dropout_rate=drop, rng=rng)
     hc, cache_c = encode_batch(state.params_c, state.table, token_ids[uctx],
                                dropout_rate=drop, rng=rng)
+    dtype = he.dtype  # the parameters' dtype
 
     hbar = segment_mean(hc[ctx_inv], np.concatenate([[0], np.cumsum(ctx_lens)]))
 
@@ -216,9 +217,9 @@ def _loss_arrays(state: ModelState, token_ids: np.ndarray,
 
 def adam_step(state: ModelState, grads: dict[str, np.ndarray]) -> None:
     """Standard Adam update with bias correction; pretrained tables move only when fine-tuned."""
-    cfg = state.config
+    lr = state.config.learning_rate
     state.adam_t += 1
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.adam_t
     bc2 = 1.0 - b2 ** state.adam_t
     for name, p in state.named_params().items():
@@ -232,7 +233,7 @@ def adam_step(state: ModelState, grads: dict[str, np.ndarray]) -> None:
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -355,18 +356,12 @@ def train(config: ModelConfig, train_baskets: Baskets, validation_baskets: Baske
 
 def save_model(state: ModelState, path) -> None:
     """Binary container: magic, version, JSON header, then f32 tensors row-major LE."""
-    tensors = dict(state.named_params())
-    if state.config.pretrained and not state.config.finetune_pretrained:
-        tensors["table"] = state.table.vectors
+    tensors = state.file_tensors()
     names = sorted(tensors)
     header = {
-        "encoder": state.config.encoder,
-        "k": state.config.k,
         "config": asdict(state.config),
         "vocab": {"words": state.vocab.words(), "counts": state.vocab.counts.tolist(),
                   "min_count": state.vocab.min_count},
-        "table": {"mode": state.table.mode, "dim": state.table.dim,
-                  "vocab_size": state.table.vocab_size},
         "catalog_hash": state.catalog_hash,
         "tensors": [{"name": n, "shape": list(tensors[n].shape)} for n in names],
     }
@@ -406,6 +401,8 @@ def load_model(path) -> ModelState:
         return _decode_model(view, hlen, path)
     except (ValueError, KeyError, TypeError) as exc:
         raise ModelError(f"{path}: corrupt model header: {exc!r}") from exc
+    except EncoderError as exc:
+        raise ModelError(f"{path}: {exc}") from exc
 
 
 def _decode_model(data: memoryview, hlen: int, path) -> ModelState:
@@ -426,6 +423,8 @@ def _decode_model(data: memoryview, hlen: int, path) -> ModelState:
             raise ValueError(f"negative dimension in tensor {spec['name']!r}")
         if end > len(data):
             raise ModelError(f"{path}: truncated tensor {spec['name']!r}")
+        if spec["name"] in tensors:
+            raise ModelError(f"{path}: tensor {spec['name']!r} listed twice")
         tensors[spec["name"]] = np.frombuffer(data, "<f4", count, offset).reshape(shape)
         if not np.isfinite(tensors[spec["name"]]).all():
             raise ModelError(f"{path}: non-finite values in tensor '{spec['name']}'")
@@ -433,23 +432,31 @@ def _decode_model(data: memoryview, hlen: int, path) -> ModelState:
     if offset != len(data):
         raise ModelError(f"{path}: {len(data) - offset} trailing bytes after the last tensor")
 
-    tmeta = header["table"]
-    if tmeta["mode"] == "onehot":
-        table = WordInputTable.one_hot(tmeta["vocab_size"])
+    # Every tensor is checked against the config and the vocabulary: names and shapes.
+    vectors = tensors.get("table")
+    if vectors is None:
+        table = WordInputTable.one_hot(vocab.size)
+    elif vectors.ndim != 2 or len(vectors) != vocab.size:
+        raise ModelError(f"{path}: tensor 'table' has shape {vectors.shape}, "
+                         f"expected ({vocab.size}, d)")
     else:
-        table = WordInputTable.pretrained(tensors["table"])
+        table = WordInputTable.pretrained(vectors)
 
-    def unpack(prefix):
+    def tower(prefix):
         if config.encoder == "mov":
-            return MovParams(tensors[f"{prefix}/W"])
-        return CnnParams(config.cnn_widths,
-                         {w: tensors[f"{prefix}/conv{w}"] for w in config.cnn_widths},
-                         {w: tensors[f"{prefix}/bias{w}"] for w in config.cnn_widths},
-                         tensors[f"{prefix}/proj"], tensors[f"{prefix}/proj_bias"])
+            return MovParams.from_dict(tensors, table.dim, config.k, prefix)
+        return CnnParams.from_dict(tensors, table.dim, config.k, config.cnn_widths,
+                                   config.cnn_filters, prefix)
 
     bias = tensors.get("bias", np.zeros(1, dtype=np.float32))
-    return ModelState(config, vocab, table, unpack("E"), unpack("C"), bias,
-                      {}, {}, 0, header["catalog_hash"])  # no Adam moments: only `train` tunes
+    if bias.shape != (1,):
+        raise ModelError(f"{path}: tensor 'bias' has shape {bias.shape}, expected (1,)")
+    state = ModelState(config, vocab, table, tower("E/"), tower("C/"), bias,
+                       {}, {}, 0, header["catalog_hash"])  # no Adam moments: only `train` tunes
+    if odd := sorted(tensors.keys() ^ state.file_tensors().keys()):  # bias, table, extras
+        kind = "unexpected" if odd[0] in tensors else "missing"
+        raise ModelError(f"{path}: {kind} tensor {odd[0]!r}")
+    return state
 
 
 def check_catalog_hash(state: ModelState, catalog: Catalog) -> bool:

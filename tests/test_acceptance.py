@@ -116,7 +116,7 @@ def test_criterion_1_gradients(loss_batch):
     t0 = time.perf_counter()
     worst = 0.0
     for encoder in ("mov", "cnn"):
-        cfg = ModelConfig(k=k, negatives=2, encoder=encoder, pretrained=True,
+        cfg = ModelConfig(k=k, negatives=2, encoder=encoder,
                           cnn_widths=(2, 3), cnn_filters=filters, dropout=0.0, seed=5)
         state = init_model(cfg, _FlatVocab(), table, dtype=np.float64)
         if encoder == "cnn":

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -29,15 +30,28 @@ def _run(argv):
     return cli.main([str(a) for a in argv])
 
 
-def _model_bytes_with_nan_row() -> bytes:
-    """A well-formed model file whose context tower's first row `C/W[0]` is NaN."""
+def _model_bytes(nan_row=False) -> bytes:
+    """A well-formed one-word mov model file (K = 4, `E/W` and `C/W` of shape (1, 4)).
+    With `nan_row`, its context tower's first row `C/W[0]` is NaN."""
     vocab = corpus.Vocabulary({"tea": 0}, np.array([1]), 1)
     state = model.init_model(model.ModelConfig(k=4, epochs=1), vocab)
-    state.params_c.W[0] = np.nan
+    if nan_row:
+        state.params_c.W[0] = np.nan
     with tempfile.TemporaryDirectory() as d:
         model.save_model(state, Path(d) / "model.bin")
         return (Path(d) / "model.bin").read_bytes()
 
+
+def _edited_model_bytes(edit=lambda header: None, tail=b"",
+                        version=model.MODEL_VERSION) -> bytes:
+    """`_model_bytes()` with `version`, its JSON header changed in place by `edit(header)`
+    and `tail` appended after the tensors."""
+    blob = _model_bytes()
+    (hlen,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16: 16 + hlen])
+    edit(header)
+    text = json.dumps(header).encode()
+    return blob[:4] + struct.pack("<IQ", version, len(text)) + text + blob[16 + hlen:] + tail
 
 def _pipeline(out: Path, raw, epochs=3):
     cat, bsk = raw
@@ -188,7 +202,7 @@ def test_finetune_pretrained_round_trip(tmp_path, raw_corpus, capsys):
     split = cli._load_split(out, "warm", catalog, baskets)
     config = cli._model_config(cli.build_parser().parse_args([str(a) for a in argv]))
     tuned, _ = model.train(config, split.train, split.validation, catalog, vocab, table)
-    assert saved.table.mode == "pretrained"
+    assert saved.table.vectors is not None
     assert not np.array_equal(saved.table.vectors, table.vectors)  # tuned, not the file's
     assert np.array_equal(saved.table.vectors, tuned.table.vectors)
 
@@ -307,9 +321,22 @@ def test_ingest_skips_csv_row_whose_product_id_holds_whitespace(tmp_path, capsys
     ["similar", "p0", "--top-n", "-1"],
     ["train", "--epochs", "0"],
     ["train", "--epochs", "1", "--lr", "0"],
-], ids=["cold-fraction", "ratios", "ns", "ns-zero", "top-n", "epochs-zero", "lr-zero"])
+    ["train", "--epochs", "1", "--finetune-pretrained"],
+], ids=["cold-fraction", "ratios", "ns", "ns-zero", "top-n", "epochs-zero", "lr-zero",
+        "finetune-without-pretrained"])
 def test_bad_flag_value_exits_1_without_traceback(tmp_path, raw_corpus, capsys, argv):
     _assert_cli_error_exit(tmp_path, raw_corpus, capsys, argv)
+
+
+def test_seed_only_on_commands_that_read_it(capsys):
+    """`--seed` seeds split, train and evaluate (prod2vec); a query has no seed to take."""
+    parser = cli.build_parser()
+    for command in ("split", "train", "evaluate"):
+        assert parser.parse_args([command, "--seed", "1"]).seed == 1
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["similar", "p0", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -333,10 +360,27 @@ def test_missing_file_exits_1_without_traceback(tmp_path, raw_corpus, capsys, ar
      "warm.manifest:2: split seed must be an integer, got 'abc'"),
     (["evaluate", "--method", "external", "--scores", "scores.tsv"],
      {"scores.tsv": b"0\t1:0.5\xff\n"}, "scores.tsv:1: invalid UTF-8"),
-    (["evaluate", "--method", "bastext"], {"run/models/model.bin": _model_bytes_with_nan_row()},
+    (["evaluate", "--method", "bastext"], {"run/models/model.bin": _model_bytes(nan_row=True)},
      "model.bin: non-finite values in tensor 'C/W'"),
-    (["next", "p0", "p1"], {"run/models/model.bin": _model_bytes_with_nan_row()},
+    (["next", "p0", "p1"], {"run/models/model.bin": _model_bytes(nan_row=True)},
      "model.bin: non-finite values in tensor 'C/W'"),
+    (["similar", "p0"],
+     {"run/models/model.bin": _edited_model_bytes(
+         lambda h: next(t for t in h["tensors"] if t["name"] == "E/W")["shape"].reverse())},
+     "model.bin: tensor 'E/W' has shape (4, 1), expected (1, 4)"),
+    (["evaluate", "--method", "bastext"],
+     {"run/models/model.bin": _edited_model_bytes(lambda h: h["config"].update(k=8))},
+     "model.bin: tensor 'E/W' has shape (1, 4), expected (1, 8)"),
+    (["next", "p0", "p1"],
+     {"run/models/model.bin": _edited_model_bytes(
+         lambda h: h["tensors"].append({"name": "E/conv2", "shape": [1]}), tail=b"\0" * 4)},
+     "model.bin: unexpected tensor 'E/conv2'"),
+    (["similar", "p0"],
+     {"run/models/model.bin": _edited_model_bytes(
+         lambda h: h["tensors"].append({"name": "E/W", "shape": [1, 4]}), tail=b"\0" * 16)},
+     "model.bin: tensor 'E/W' listed twice"),
+    (["similar", "p0"], {"run/models/model.bin": _edited_model_bytes(version=1)},
+     "model.bin: unsupported model version 1"),
     (["train", "--epochs", "1", "--pretrained", "vectors.txt"],
      {"vectors.txt": b"comm0 0.1 0.2\ncomm1 0.1 abc\n"}, "vectors.txt:2: non-numeric"),
     (["train", "--epochs", "1", "--pretrained", "vectors.txt"],
@@ -354,6 +398,7 @@ def test_missing_file_exits_1_without_traceback(tmp_path, raw_corpus, capsys, ar
      "orders.csv: instacart CSV has no product_id column"),
 ], ids=["catalog-utf8", "baskets-utf8", "query-catalog-utf8", "ingest-directory",
         "manifest-seed", "scores-utf8", "evaluate-nan-model", "next-nan-model",
+        "model-shape", "model-k", "model-extra-tensor", "model-duplicate-tensor", "model-v1",
         "pretrained-text-component", "pretrained-nan-component", "pretrained-utf8",
         "instacart-products-no-id", "instacart-orders-no-id"])
 def test_bad_input_file_exits_1_without_traceback(tmp_path, raw_corpus, capsys, argv, files,

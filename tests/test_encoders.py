@@ -225,6 +225,26 @@ def test_init_cnn_rejects_bad_widths():
         init_cnn(4, 3, (3, 2), 2, rng)
 
 
+def test_from_dict_inverts_as_dict_and_checks_every_shape():
+    """`from_dict(as_dict())` gives back the same arrays; a tensor of another shape than
+    the dimensions imply, or a missing one, is an `EncoderError` naming it."""
+    rng = np.random.default_rng(9)
+    for params, dims in ((init_mov(6, 4, rng), (6, 4)),
+                         (init_cnn(6, 4, (2, 3), 3, rng), (6, 4, (2, 3), 3))):
+        tensors = params.as_dict()
+        back = type(params).from_dict(tensors, *dims).as_dict()
+        assert back.keys() == tensors.keys()
+        assert all(back[name] is t for name, t in tensors.items())
+        for i in range(len(dims)):  # input dim, K, widths, filters: each is checked
+            wrong = dims[:i] + (((2,) if i == 2 else dims[i] + 1),) + dims[i + 1:]
+            with pytest.raises(EncoderError, match="tensor '.*' has shape .*, expected"):
+                type(params).from_dict(tensors, *wrong)
+        with pytest.raises(EncoderError, match="missing tensor 'E/"):
+            type(params).from_dict(tensors, *dims, prefix="E/")
+    with pytest.raises(EncoderError, match="filter widths"):
+        CnnParams.from_dict({}, 6, 4, (), 3)
+
+
 # ---------------------------------------------------------------------------
 # Backward: finite differences
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ of every artifact and of the stdout of ingest, split and the queries with
 `golden_digests.json`.
 
 A change that moves bytes on purpose regenerates the file with
-`PYTHONPATH=src python tests/test_golden.py` and logs old -> new digests.
+`PYTHONPATH=src python tests/test_golden.py`. Before it rewrites the file, it
+prints `key: old -> new` for every digest that moved; log those lines.
 The file records the numpy and OpenBLAS versions it was computed with, since
 another BLAS build may round differently.
 """
@@ -117,6 +118,10 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as d:
         digests = all_digests(Path(d))
+    old = json.loads(GOLDEN.read_text())["digests"] if GOLDEN.exists() else {}
+    for key in sorted(old.keys() | digests.keys()):
+        if old.get(key) != digests.get(key):
+            print(f"{key}: {old.get(key)} -> {digests.get(key)}", file=sys.stderr)
     GOLDEN.write_text(json.dumps({"versions": versions(), "digests": digests},
                                  indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(digests)} digests to {GOLDEN}", file=sys.stderr)

@@ -43,12 +43,6 @@ def test_towers_not_aliased(tiny_vocab):
     assert not np.array_equal(state.params_e.W, state.params_c.W)
 
 
-def test_untied_init_differs(tiny_vocab):
-    cfg = ModelConfig(k=6, tied_init=False, seed=0)
-    state = init_model(cfg, tiny_vocab)
-    assert not np.array_equal(state.params_e.W, state.params_c.W)
-
-
 # ---------------------------------------------------------------------------
 # Scoring
 # ---------------------------------------------------------------------------
@@ -190,7 +184,7 @@ def test_adam_first_step_magnitude(tiny_vocab):
 
 def test_adam_trajectory_matches_scalar_oracle(tiny_vocab):
     cfg, state = _small_state(tiny_vocab)
-    lr, b1, b2, eps = (cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    lr, b1, b2, eps = cfg.learning_rate, M.ADAM_BETA1, M.ADAM_BETA2, M.ADAM_EPS
     # independent scalar Adam on f(x) = 0.5 x^2 starting from W[0,0]
     x = float(state.params_e.W[0, 0])
     m = v = 0.0
@@ -337,7 +331,7 @@ def test_finetune_tunes_a_copy_of_the_callers_table():
     vectors = np.random.default_rng(0).normal(size=(vocab.size, 4)).astype(np.float32)
     table = WordInputTable.pretrained(vectors.copy())
     cfg = ModelConfig(k=8, negatives=2, batch_size=64, epochs=2, seed=0, patience=10,
-                      validation_sample=50, pretrained=True, finetune_pretrained=True)
+                      validation_sample=50, finetune_pretrained=True)
     a, _ = train(cfg, sp.train, sp.validation, cat, vocab, table)
     b, _ = train(cfg, sp.train, sp.validation, cat, vocab, table)
     assert np.array_equal(table.vectors, vectors)
@@ -358,7 +352,7 @@ def test_best_epoch_snapshot_includes_finetuned_table():
     def run(epochs):
         cfg = ModelConfig(k=8, negatives=2, batch_size=64, epochs=epochs, seed=0,
                           patience=10, learning_rate=5e-3, validation_sample=50,
-                          pretrained=True, finetune_pretrained=True)
+                          finetune_pretrained=True)
         return train(cfg, sp.train, sp.validation, cat, vocab,
                      WordInputTable.pretrained(vectors.copy()))
 
