@@ -103,15 +103,18 @@ def sgns_batch_grads(in_vecs: np.ndarray, out_vecs: np.ndarray, centers: np.ndar
     return centers, d_in, np.concatenate([contexts, negs.ravel()]), d_out
 
 
+# Prod2vec's SGD: the learning rate falls linearly over the pairs seen, down to a floor
+# of `PROD2VEC_MIN_LEARNING_RATE_FACTOR` times its start.
+PROD2VEC_LEARNING_RATE, PROD2VEC_MIN_LEARNING_RATE_FACTOR = 0.025, 1e-4
+PROD2VEC_BATCH_SIZE = 2048
+
+
 @dataclass
 class Prod2vecConfig:
     k: int = 64
     negatives: int = 8
-    learning_rate: float = 0.025
-    min_learning_rate_factor: float = 1e-4
     epochs: int = 5
     seed: int = 0
-    batch_size: int = 2048
 
 
 class Prod2vecModel(ContextScorer):
@@ -142,10 +145,10 @@ class Prod2vecModel(ContextScorer):
         done = 0
         for epoch in range(cfg.epochs):
             order = rng.permutation(n_pairs)
-            for start in range(0, n_pairs, cfg.batch_size):
-                idx = order[start: start + cfg.batch_size]
-                alpha = cfg.learning_rate * max(1.0 - done / total,
-                                                cfg.min_learning_rate_factor)
+            for start in range(0, n_pairs, PROD2VEC_BATCH_SIZE):
+                idx = order[start: start + PROD2VEC_BATCH_SIZE]
+                alpha = PROD2VEC_LEARNING_RATE * max(1.0 - done / total,
+                                                     PROD2VEC_MIN_LEARNING_RATE_FACTOR)
                 negs = rng.integers(0, num_products, size=(len(idx), cfg.negatives))
                 in_rows, d_in, out_rows, d_out = sgns_batch_grads(
                     in_vecs, out_vecs, centers[idx], contexts[idx], negs)

@@ -48,11 +48,13 @@ def _load_corpus(out: Path):
     return catalog, baskets
 
 
-def _load_split(out: Path, mode: str, catalog, baskets):
+def _load_split(out: Path, mode: str):
+    """The catalog and the `mode` split; the corpus's own `Baskets` is freed on return."""
+    catalog, baskets = _load_corpus(out)
     manifest = out / "splits" / f"{mode}.manifest"
     if not manifest.exists():
         raise SystemExit(f"error: split manifest {manifest} not found; run `bastext split` first")
-    return corpus.load_split_manifest(manifest, catalog, baskets)
+    return catalog, corpus.load_split_manifest(manifest, catalog, baskets)
 
 
 def cmd_ingest(args) -> int:
@@ -103,8 +105,7 @@ def _model_config(args) -> model.ModelConfig:
 
 def cmd_train(args) -> int:
     out = Path(args.out)
-    catalog, baskets = _load_corpus(out)
-    split = _load_split(out, "cold" if args.cold else "warm", catalog, baskets)
+    catalog, split = _load_split(out, "cold" if args.cold else "warm")
     vocab = corpus.build_vocabulary(catalog, args.min_count)
     table = None
     if args.pretrained is not None:
@@ -136,8 +137,7 @@ def _load_bastext(path, catalog):
 def cmd_evaluate(args) -> int:
     ns = _parse_list(args.ns, int, evaluation.EvalError, "--ns")
     out = Path(args.out)
-    catalog, baskets = _load_corpus(out)
-    split = _load_split(out, "cold" if args.cold else "warm", catalog, baskets)
+    catalog, split = _load_split(out, "cold" if args.cold else "warm")
     cases = evaluation.form_test_cases(split)
     m = len(catalog)
     if args.method == "bastext":
@@ -262,8 +262,10 @@ def _add_model_flags(p):
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--dropout", type=float, default=0.2)
     p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--patience", type=int, default=3)
-    p.add_argument("--min-count", type=int, default=1)
+    p.add_argument("--patience", type=int, default=3,
+                   help="stop after this many epochs (>= 1) without a better validation recall")
+    p.add_argument("--min-count", type=int, default=1,
+                   help="keep title words seen at least this many times (>= 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -178,8 +178,6 @@ class Vocabulary:
     """Token vocabulary with contiguous indices 0..V-1; the UNK index is V."""
 
     word_to_index: dict[str, int]
-    counts: np.ndarray  # (V,), every entry >= min_count
-    min_count: int
 
     @property
     def size(self) -> int:
@@ -212,7 +210,6 @@ class DatasetSplit:
 
 @dataclass
 class IngestStats:
-    baskets_kept: int = 0
     baskets_dropped_small: int = 0
     products_dropped_empty_title: int = 0
     rows_skipped: int = 0
@@ -261,8 +258,8 @@ def import_dataset(fmt: str, paths: list[str | Path]) -> tuple[Catalog, Baskets,
                       ids, source_ids).restrict(np.ones(m, dtype=bool))
     if not len(baskets):
         raise CorpusError("zero usable baskets after ingestion")
-    return catalog, baskets, IngestStats(len(baskets), int((~unknown).sum()) - len(baskets),
-                                         dropped, skipped + int(unknown.sum()))
+    return catalog, baskets, IngestStats(int((~unknown).sum()) - len(baskets), dropped,
+                                         skipped + int(unknown.sum()))
 
 
 def read_catalog(path) -> Catalog:
@@ -472,16 +469,15 @@ def write_canonical(catalog: Catalog, baskets: Baskets, catalog_path, baskets_pa
 # ---------------------------------------------------------------------------
 
 def build_vocabulary(catalog: Catalog, min_count: int = 1) -> Vocabulary:
-    """Count title tokens and keep those with count >= min_count; the rest map to UNK."""
+    """The title tokens seen at least `min_count` times, sorted; the rest map to UNK."""
+    if min_count < 1:
+        raise CorpusError(f"min_count must be >= 1, got {min_count}")
     if len(catalog) == 0:
         raise CorpusError("cannot build vocabulary from an empty catalog")
-    counts = Counter(catalog.tokens[0])
-    kept = sorted(w for w, c in counts.items() if c >= min_count)
+    kept = sorted(w for w, c in Counter(catalog.tokens[0]).items() if c >= min_count)
     if not kept:
         raise CorpusError(f"vocabulary is empty at min_count={min_count}")
-    return Vocabulary(dict(zip(kept, range(len(kept)))),
-                      np.fromiter(map(counts.__getitem__, kept), dtype=np.int64, count=len(kept)),
-                      min_count)
+    return Vocabulary(dict(zip(kept, range(len(kept)))))
 
 
 def title_matrix(token_lists, vocab_size: int) -> np.ndarray:

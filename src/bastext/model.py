@@ -27,7 +27,7 @@ from .evaluation import ContextScorer, TestCases, rank_cases
 from .kernels import scatter_rows, segment_mean
 
 MODEL_MAGIC = b"BSTX"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -53,8 +53,8 @@ class ModelConfig:
     validation_sample: int = 2000  # test cases sampled for per-epoch Recall@20
 
     def __post_init__(self):
-        if self.k < 1 or self.negatives < 1 or self.batch_size < 1 or self.epochs < 1:
-            raise ModelError("k, negatives, batch_size and epochs must all be >= 1")
+        if min(self.k, self.negatives, self.batch_size, self.epochs, self.patience) < 1:
+            raise ModelError("k, negatives, batch_size, epochs and patience must all be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ModelError("dropout must lie in [0, 1)")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -72,9 +72,6 @@ class ModelState:
     params_e: MovParams | CnnParams
     params_c: MovParams | CnnParams
     bias: np.ndarray  # scalar, used only when config.use_bias
-    adam_m: dict[str, np.ndarray]
-    adam_v: dict[str, np.ndarray]
-    adam_t: int = 0
     catalog_hash: str = ""
 
     def named_params(self) -> dict[str, np.ndarray]:
@@ -123,13 +120,8 @@ def init_model(config: ModelConfig, vocab: Vocabulary, table: WordInputTable | N
     else:
         params_e = init_cnn(table.dim, config.k, config.cnn_widths, config.cnn_filters, rng,
                             dtype)
-    params_c = copy.deepcopy(params_e)
-    state = ModelState(config, vocab, table, params_e, params_c,
-                       np.zeros(1, dtype=dtype), {}, {}, 0, catalog_hash)
-    for name, p in state.named_params().items():
-        state.adam_m[name] = np.zeros_like(p)
-        state.adam_v[name] = np.zeros_like(p)
-    return state
+    return ModelState(config, vocab, table, params_e, copy.deepcopy(params_e),
+                      np.zeros(1, dtype=dtype), catalog_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -215,20 +207,19 @@ def _loss_arrays(state: ModelState, token_ids: np.ndarray,
     return loss, grads
 
 
-def adam_step(state: ModelState, grads: dict[str, np.ndarray]) -> None:
-    """Standard Adam update with bias correction; pretrained tables move only when fine-tuned."""
-    lr = state.config.learning_rate
-    state.adam_t += 1
+def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], moments, t: int,
+              lr: float) -> None:
+    """Step `t` (from 1) of Adam with bias correction, in place on `params` and on
+    `moments`, the pair of first- and second-moment dicts keyed like `params`."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    bc1 = 1.0 - b1 ** state.adam_t
-    bc2 = 1.0 - b2 ** state.adam_t
-    for name, p in state.named_params().items():
+    bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    for name, p in params.items():
         g = grads.get(name)
         if g is None:
             raise ModelError(f"missing gradient for parameter {name!r}")
         if g.shape != p.shape:
             raise ModelError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name}")
-        m, v = state.adam_m[name], state.adam_v[name]
+        m, v = moments[0][name], moments[1][name]
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
@@ -282,11 +273,15 @@ def train(config: ModelConfig, train_baskets: Baskets, validation_baskets: Baske
     Per epoch: shuffle the leave-one-out positives, draw fresh uniform negatives
     for every mini-batch, update with Adam, then measure Recall@20 on a fixed
     sample of validation test cases. The state with the best validation recall
-    is retained; training stops early after `patience` stagnant epochs.
+    is retained; training stops early after `patience` stagnant epochs. Adam's
+    moments and step count live only here, never in the model state.
     """
     if not train_baskets:
         raise ModelError("no training baskets")
     state = init_model(config, vocab, table, catalog_hash=catalog.content_hash())
+    params = state.named_params()
+    moments = ({k: np.zeros_like(p) for k, p in params.items()},
+               {k: np.zeros_like(p) for k, p in params.items()})
     token_ids = encode_catalog(catalog, vocab)
     num_products = len(catalog)
 
@@ -305,7 +300,7 @@ def train(config: ModelConfig, train_baskets: Baskets, validation_baskets: Baske
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     lines: list[str] = []
     best = (-np.inf, None)
-    stale = 0
+    stale = step = 0
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
         order = shuffle_rng.permutation(n_pos)
@@ -327,7 +322,8 @@ def train(config: ModelConfig, train_baskets: Baskets, validation_baskets: Baske
                                      -np.ones(b * config.negatives, dtype=np.int64)])
             loss, grads = _loss_arrays(state, token_ids, cand_ids, ex_ctx, ctx_flat, ctx_lens,
                                        labels, True, batch_rng)
-            adam_step(state, grads)
+            step += 1
+            adam_step(params, grads, moments, step, config.learning_rate)
             epoch_loss += loss
             n_batches += 1
         mean_loss = epoch_loss / max(n_batches, 1)
@@ -339,13 +335,13 @@ def train(config: ModelConfig, train_baskets: Baskets, validation_baskets: Baske
             log(line)
         score_now = recall if np.isfinite(recall) else -mean_loss
         if score_now > best[0]:  # every tensor Adam tunes, a fine-tuned table included
-            best = (score_now, {k: p.copy() for k, p in state.named_params().items()})
+            best = (score_now, {k: p.copy() for k, p in params.items()})
             stale = 0
         else:
             stale += 1
             if stale >= config.patience:
                 break
-    for name, p in state.named_params().items():
+    for name, p in params.items():
         p[...] = best[1][name]
     return state, lines
 
@@ -360,8 +356,7 @@ def save_model(state: ModelState, path) -> None:
     names = sorted(tensors)
     header = {
         "config": asdict(state.config),
-        "vocab": {"words": state.vocab.words(), "counts": state.vocab.counts.tolist(),
-                  "min_count": state.vocab.min_count},
+        "vocab": state.vocab.words(),
         "catalog_hash": state.catalog_hash,
         "tensors": [{"name": n, "shape": list(tensors[n].shape)} for n in names],
     }
@@ -410,9 +405,7 @@ def _decode_model(data: memoryview, hlen: int, path) -> ModelState:
     cfg_dict = dict(header["config"])
     cfg_dict["cnn_widths"] = tuple(cfg_dict["cnn_widths"])
     config = ModelConfig(**cfg_dict)
-    vw = header["vocab"]
-    vocab = Vocabulary(dict(zip(vw["words"], range(len(vw["words"])))),
-                       np.array(vw["counts"], dtype=np.int64), vw["min_count"])
+    vocab = Vocabulary(dict(zip(header["vocab"], range(len(header["vocab"])))))
     offset = 16 + hlen
     tensors = {}
     for spec in header["tensors"]:
@@ -452,7 +445,7 @@ def _decode_model(data: memoryview, hlen: int, path) -> ModelState:
     if bias.shape != (1,):
         raise ModelError(f"{path}: tensor 'bias' has shape {bias.shape}, expected (1,)")
     state = ModelState(config, vocab, table, tower("E/"), tower("C/"), bias,
-                       {}, {}, 0, header["catalog_hash"])  # no Adam moments: only `train` tunes
+                       header["catalog_hash"])
     if odd := sorted(tensors.keys() ^ state.file_tensors().keys()):  # bias, table, extras
         kind = "unexpected" if odd[0] in tensors else "missing"
         raise ModelError(f"{path}: {kind} tensor {odd[0]!r}")

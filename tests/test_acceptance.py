@@ -283,6 +283,35 @@ def test_criterion_5_split_invariants():
 # 6. Desk-scale reproduction on real data
 # ---------------------------------------------------------------------------
 
+def _instacart_split(paths, max_baskets=100_000):
+    """Criterion 6's Instacart data: the catalog, a warm split of at most `max_baskets`
+    baskets drawn at random, and the vocabulary of words seen at least twice."""
+    catalog, baskets, _ = import_dataset("instacart", paths)
+    rng = np.random.default_rng(0)
+    sub = baskets.take(rng.choice(len(baskets), min(max_baskets, len(baskets)), replace=False))
+    return catalog, split_warm(sub, seed=0), build_vocabulary(catalog, min_count=2)
+
+
+def test_instacart_split_on_tiny_files(tmp_path):
+    """`_instacart_split` runs on generated `products.csv`/`order_products` files, so an
+    API change cannot break criterion 6's Instacart branch while its data is absent."""
+    rng = np.random.default_rng(1)
+    words = ["red", "green", "tea", "pear", "rye", "bread"]
+    (tmp_path / "products.csv").write_text("product_id,product_name,aisle_id\n" + "".join(
+        f"{i},{words[i % 6]} {words[(i * 5 + 1) % 6]},1\n" for i in range(20)))
+    orders = [(o, p) for o in range(60) for p in rng.choice(20, 4, replace=False).tolist()]
+    (tmp_path / "order_products__prior.csv").write_text(
+        "order_id,product_id,add_to_cart_order\n" + "".join(f"{o},{p},1\n" for o, p in orders))
+    paths = [tmp_path / "products.csv", tmp_path / "order_products__prior.csv"]
+    catalog, split, vocab = _instacart_split(paths, max_baskets=40)
+    parts = (split.train, split.validation, split.test)
+    source_ids = [s for part in parts for s in part.source_ids.tolist()]
+    assert len(catalog) == 20 and vocab.words() == sorted(words)
+    assert len(source_ids) == len(set(source_ids)) == 40
+    assert set(source_ids) <= {str(o) for o in range(60)}
+    assert split.mode == "warm" and len(form_test_cases(split)) > 0
+
+
 def test_criterion_6_real_data_ordering():
     if not ONLINERETAIL.exists():
         _skip(6, f"OnlineRetail data not present at {ONLINERETAIL}")
@@ -304,13 +333,7 @@ def test_criterion_6_real_data_ordering():
 
     note = "; Instacart subsample skipped (data not present)"
     if all(p.exists() for p in INSTACART):
-        cat2, baskets2, _ = import_dataset("instacart", INSTACART)
-        rng = np.random.default_rng(0)
-        sub = [baskets2[i] for i in rng.choice(len(baskets2),
-                                               min(100_000, len(baskets2)),
-                                               replace=False)]
-        sp2 = split_warm(sub, seed=0)
-        vocab2 = build_vocabulary(cat2, min_count=2)
+        cat2, sp2, vocab2 = _instacart_split(INSTACART)
         st2, _ = M.train(cfg, sp2.train, sp2.validation, cat2, vocab2)
         sc2 = BastextScorer(M.materialize_product_vectors(st2, cat2))
         cases2 = form_test_cases(sp2)

@@ -4,13 +4,14 @@ import struct
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bastext
-from bastext import cli, corpus, model
+from bastext import cli, corpus, evaluation, model
 from bastext.encoders import load_pretrained_vectors
 from bastext.synthetic import make_planted_corpus
 
@@ -33,7 +34,7 @@ def _run(argv):
 def _model_bytes(nan_row=False) -> bytes:
     """A well-formed one-word mov model file (K = 4, `E/W` and `C/W` of shape (1, 4)).
     With `nan_row`, its context tower's first row `C/W[0]` is NaN."""
-    vocab = corpus.Vocabulary({"tea": 0}, np.array([1]), 1)
+    vocab = corpus.Vocabulary({"tea": 0})
     state = model.init_model(model.ModelConfig(k=4, epochs=1), vocab)
     if nan_row:
         state.params_c.W[0] = np.nan
@@ -90,6 +91,36 @@ def test_rerun_is_byte_identical(tmp_path, raw_corpus, capsys):
     strip = lambda p: [l.rsplit("\twall", 1)[0] for l in
                        (p / "models/train_log.txt").read_text().splitlines()]
     assert strip(a) == strip(b)
+
+
+@pytest.mark.parametrize("argv, owner, name", [
+    (["train", "--epochs", "1"], model, "train"),
+    (["evaluate", "--method", "pop"], evaluation, "evaluate"),
+], ids=["train", "evaluate"])
+def test_corpus_baskets_die_once_the_split_is_built(tmp_path, raw_corpus, capsys, monkeypatch,
+                                                    argv, owner, name):
+    """`train` and `evaluate` keep only the split's parts: the `Baskets` that
+    `import_dataset` returned is freed before the model trains or the evaluation runs."""
+    out = tmp_path / "run"
+    assert _run(["ingest", "--format", "canonical", *raw_corpus, "--out", out]) == 0
+    assert _run(["split", "--out", out]) == 0
+    refs, alive = [], []
+    real_import, real_stage = corpus.import_dataset, getattr(owner, name)
+
+    def recording_import(*args, **kwargs):
+        result = real_import(*args, **kwargs)
+        refs.append(weakref.ref(result[1]))
+        return result
+
+    def checking_stage(*args, **kwargs):
+        alive.append([r() is not None for r in refs])
+        return real_stage(*args, **kwargs)
+
+    monkeypatch.setattr(corpus, "import_dataset", recording_import)
+    monkeypatch.setattr(owner, name, checking_stage)
+    assert _run([*argv, "--out", out]) == 0
+    capsys.readouterr()
+    assert alive == [[False]]
 
 
 def test_threads_flag_bit_exact(tmp_path, raw_corpus, capsys):
@@ -183,7 +214,7 @@ def test_finetune_pretrained_round_trip(tmp_path, raw_corpus, capsys):
     cat, bsk = raw_corpus
     assert _run(["ingest", "--format", "canonical", cat, bsk, "--out", out]) == 0
     assert _run(["split", "--out", out]) == 0
-    catalog, baskets = cli._load_corpus(out)
+    catalog, split = cli._load_split(out, "warm")
     vocab = corpus.build_vocabulary(catalog)
     rng = np.random.default_rng(0)
     vectors = tmp_path / "vectors.txt"
@@ -199,7 +230,6 @@ def test_finetune_pretrained_round_trip(tmp_path, raw_corpus, capsys):
 
     saved = model.load_model(out / "models" / "model.bin")
     table, _ = load_pretrained_vectors(vectors, vocab)
-    split = cli._load_split(out, "warm", catalog, baskets)
     config = cli._model_config(cli.build_parser().parse_args([str(a) for a in argv]))
     tuned, _ = model.train(config, split.train, split.validation, catalog, vocab, table)
     assert saved.table.vectors is not None
@@ -322,8 +352,10 @@ def test_ingest_skips_csv_row_whose_product_id_holds_whitespace(tmp_path, capsys
     ["train", "--epochs", "0"],
     ["train", "--epochs", "1", "--lr", "0"],
     ["train", "--epochs", "1", "--finetune-pretrained"],
+    ["train", "--epochs", "1", "--patience", "0"],
+    ["train", "--epochs", "1", "--min-count", "0"],
 ], ids=["cold-fraction", "ratios", "ns", "ns-zero", "top-n", "epochs-zero", "lr-zero",
-        "finetune-without-pretrained"])
+        "finetune-without-pretrained", "patience-zero", "min-count-zero"])
 def test_bad_flag_value_exits_1_without_traceback(tmp_path, raw_corpus, capsys, argv):
     _assert_cli_error_exit(tmp_path, raw_corpus, capsys, argv)
 
@@ -381,6 +413,11 @@ def test_missing_file_exits_1_without_traceback(tmp_path, raw_corpus, capsys, ar
      "model.bin: tensor 'E/W' listed twice"),
     (["similar", "p0"], {"run/models/model.bin": _edited_model_bytes(version=1)},
      "model.bin: unsupported model version 1"),
+    (["evaluate", "--method", "bastext"],
+     {"run/models/model.bin": _edited_model_bytes(
+         lambda h: h.update(vocab={"words": h["vocab"], "counts": [1], "min_count": 1}),
+         version=2)},
+     "model.bin: unsupported model version 2"),
     (["train", "--epochs", "1", "--pretrained", "vectors.txt"],
      {"vectors.txt": b"comm0 0.1 0.2\ncomm1 0.1 abc\n"}, "vectors.txt:2: non-numeric"),
     (["train", "--epochs", "1", "--pretrained", "vectors.txt"],
@@ -399,6 +436,7 @@ def test_missing_file_exits_1_without_traceback(tmp_path, raw_corpus, capsys, ar
 ], ids=["catalog-utf8", "baskets-utf8", "query-catalog-utf8", "ingest-directory",
         "manifest-seed", "scores-utf8", "evaluate-nan-model", "next-nan-model",
         "model-shape", "model-k", "model-extra-tensor", "model-duplicate-tensor", "model-v1",
+        "model-v2",
         "pretrained-text-component", "pretrained-nan-component", "pretrained-utf8",
         "instacart-products-no-id", "instacart-orders-no-id"])
 def test_bad_input_file_exits_1_without_traceback(tmp_path, raw_corpus, capsys, argv, files,

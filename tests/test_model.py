@@ -30,6 +30,9 @@ def test_config_rejects_bad_values():
         ModelConfig(dropout=1.0)
     with pytest.raises(ModelError):
         ModelConfig(encoder="rnn")
+    for patience in (0, -5):
+        with pytest.raises(ModelError, match="patience"):
+            ModelConfig(patience=patience)
     for lr in (0.0, -1e-3, float("nan"), float("inf")):
         with pytest.raises(ModelError, match="learning_rate"):
             ModelConfig(learning_rate=lr)
@@ -163,20 +166,30 @@ def test_full_model_gradients_with_bias(tiny_vocab, tiny_tokens, loss_batch):
 # Adam
 # ---------------------------------------------------------------------------
 
+def _zero_moments(params):
+    """Adam's first and second moments at step 0, keyed like `params`."""
+    return ({k: np.zeros_like(p) for k, p in params.items()},
+            {k: np.zeros_like(p) for k, p in params.items()})
+
+
 def test_adam_zero_gradient_keeps_parameters(tiny_vocab):
-    _, state = _small_state(tiny_vocab)
-    before = {k: v.copy() for k, v in state.named_params().items()}
-    adam_step(state, {k: np.zeros_like(v) for k, v in before.items()})
+    cfg, state = _small_state(tiny_vocab)
+    params = state.named_params()
+    before = {k: v.copy() for k, v in params.items()}
+    moments = _zero_moments(params)
+    adam_step(params, {k: np.zeros_like(v) for k, v in before.items()}, moments, 1,
+              cfg.learning_rate)
     for k, v in state.named_params().items():
         assert np.array_equal(v, before[k])
-    assert state.adam_t == 1
+        assert not moments[0][k].any() and not moments[1][k].any()
 
 
 def test_adam_first_step_magnitude(tiny_vocab):
     cfg, state = _small_state(tiny_vocab)
+    params = state.named_params()
     before = state.params_e.W.copy()
-    grads = {k: np.ones_like(v) for k, v in state.named_params().items()}
-    adam_step(state, grads)
+    grads = {k: np.ones_like(v) for k, v in params.items()}
+    adam_step(params, grads, _zero_moments(params), 1, cfg.learning_rate)
     delta = before - state.params_e.W
     # bias-corrected first step with g=1 moves by ~lr (up to eps)
     assert np.allclose(delta, cfg.learning_rate, rtol=1e-6)
@@ -195,23 +208,50 @@ def test_adam_trajectory_matches_scalar_oracle(tiny_vocab):
         v = b2 * v + (1 - b2) * g * g
         x -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
         traj.append(x)
-    # drive the full state with gradients that are zero except that one entry
+    # drive every tuned tensor with gradients that are zero except that one entry
+    params = state.named_params()
+    moments = _zero_moments(params)
     got = []
-    for _ in range(5):
-        grads = {k: np.zeros_like(p) for k, p in state.named_params().items()}
+    for t in range(1, 6):
+        grads = {k: np.zeros_like(p) for k, p in params.items()}
         grads["E/W"][0, 0] = state.params_e.W[0, 0]
-        adam_step(state, grads)
+        adam_step(params, grads, moments, t, lr)
         got.append(float(state.params_e.W[0, 0]))
     assert np.allclose(got, traj, atol=1e-10)
 
 
 def test_adam_missing_or_misshaped_gradient_fatal(tiny_vocab):
-    _, state = _small_state(tiny_vocab)
-    with pytest.raises(ModelError):
-        adam_step(state, {})
-    bad = {k: np.zeros((1,)) for k in state.named_params()}
-    with pytest.raises(ModelError):
-        adam_step(state, bad)
+    cfg, state = _small_state(tiny_vocab)
+    params = state.named_params()
+    moments = _zero_moments(params)
+    with pytest.raises(ModelError, match="missing gradient"):
+        adam_step(params, {}, moments, 1, cfg.learning_rate)
+    bad = {k: np.zeros((1,)) for k in params}
+    with pytest.raises(ModelError, match="gradient shape"):
+        adam_step(params, bad, moments, 1, cfg.learning_rate)
+
+
+def test_train_owns_the_adam_moments(monkeypatch):
+    """`train` makes one pair of zero moments for exactly the tensors it tunes, in their
+    dtype, passes the same pair to every step and counts the steps from 1."""
+    calls = []
+
+    def recording(params, grads, moments, t, lr):
+        if not calls:
+            assert not any(m.any() for moment in moments for m in moment.values())
+        calls.append((params, moments, t, lr))
+        return adam_step(params, grads, moments, t, lr)
+
+    monkeypatch.setattr(M, "adam_step", recording)
+    _, _, state, _ = _train_small(epochs=2)
+    params, moments = calls[0][0], calls[0][1]
+    assert all(c[0] is params and c[1] is moments for c in calls)
+    assert [c[2] for c in calls] == list(range(1, len(calls) + 1)) and len(calls) > 2
+    assert {c[3] for c in calls} == {state.config.learning_rate}
+    assert params.keys() == moments[0].keys() == moments[1].keys() == state.named_params().keys()
+    for name, p in state.named_params().items():
+        assert params[name] is p
+        assert moments[0][name].dtype == moments[1][name].dtype == p.dtype == np.float32
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +452,11 @@ def test_training_step_keeps_parameter_dtype(tiny_catalog, tiny_vocab, tiny_toke
     want = np.dtype(dtype)
     assert len(sources) >= 3 and set(sources) == {want}
     assert {name: g.dtype for name, g in grads.items()} == dict.fromkeys(grads, want)
-    adam_step(state, grads)
-    for name, p in state.named_params().items():
-        assert (p.dtype, state.adam_m[name].dtype, state.adam_v[name].dtype) == (want,) * 3, name
+    params = state.named_params()
+    moments = _zero_moments(params)
+    adam_step(params, grads, moments, 1, cfg.learning_rate)
+    for name, p in params.items():
+        assert (p.dtype, moments[0][name].dtype, moments[1][name].dtype) == (want,) * 3, name
     vecs = materialize_product_vectors(state, tiny_catalog)
     assert vecs.embedding.dtype == vecs.context.dtype == want
 
