@@ -124,14 +124,23 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_bastext(path, catalog):
-    """The model saved at `path` and its scorer over `catalog`'s product vectors."""
+def _load_checked_model(path, catalog) -> model.ModelState:
+    """The model saved at `path`, with a warning when `catalog` is not the one it was trained on."""
     state = model.load_model(path)
     if not model.check_catalog_hash(state, catalog):
         print("warning: catalog hash differs from the one the model was trained on",
               file=sys.stderr)
-    bias = float(state.bias[0]) if state.config.use_bias else 0.0
-    return state, model.BastextScorer(model.materialize_product_vectors(state, catalog), bias)
+    return state
+
+
+def _scorer(state: model.ModelState, vectors: model.ProductVectors) -> model.BastextScorer:
+    return model.BastextScorer(vectors, float(state.bias[0]) if state.config.use_bias else 0.0)
+
+
+def _load_bastext(path, catalog):
+    """The model saved at `path` and its scorer over `catalog`'s product vectors."""
+    state = _load_checked_model(path, catalog)
+    return state, _scorer(state, model.materialize_product_vectors(state, catalog))
 
 
 def cmd_evaluate(args) -> int:
@@ -173,11 +182,22 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_for_query(args):
+    """The catalog, the model, the catalog's title matrix and every product's candidate
+    vector. A query encodes context vectors only for the rows it reads (`_context_rows`)."""
     if args.top_n < 1:
         raise SystemExit(f"error: --top-n must be >= 1, got {args.top_n}")
     out = Path(args.out)
     catalog = corpus.read_catalog(*_corpus_files(out, "catalog.tsv"))
-    return (catalog, *_load_bastext(args.model or out / "models" / "model.bin", catalog))
+    state = _load_checked_model(args.model or out / "models" / "model.bin", catalog)
+    token_ids = corpus.encode_catalog(catalog, state.vocab)
+    embedding, _ = encode_batch(state.params_e, state.table, token_ids)
+    return catalog, state, token_ids, embedding
+
+
+def _context_rows(state, token_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The context vectors of products `ids`, encoded from their title rows alone."""
+    context, _ = encode_batch(state.params_c, state.table, token_ids[ids])
+    return context
 
 
 def _resolve(catalog, external_id: str) -> int:
@@ -200,40 +220,43 @@ def _top_k(scores: np.ndarray, k: int, exclude=()) -> np.ndarray:
 
 
 def cmd_similar(args) -> int:
-    catalog, _, scorer = _load_for_query(args)
+    catalog, _, _, embedding = _load_for_query(args)
     pid = _resolve(catalog, args.product)
-    sims = cosine_to_all(scorer.vectors.embedding[[pid]], scorer.vectors.embedding)[0]
+    sims = cosine_to_all(embedding[[pid]], embedding)[0]
     top = _top_k(sims, args.top_n, exclude=[pid])
     _print_top(catalog, top, sims[top])
     return 0
 
 
 def cmd_alsobuy(args) -> int:
-    catalog, _, scorer = _load_for_query(args)
+    catalog, state, token_ids, embedding = _load_for_query(args)
     pid = _resolve(catalog, args.product)
-    scores = scorer.vectors.embedding @ scorer.vectors.context[pid]
+    scores = embedding @ _context_rows(state, token_ids, [pid])[0]
     top = _top_k(scores, args.top_n, exclude=[pid])
     _print_top(catalog, top, scores[top])
     return 0
 
 
 def cmd_search(args) -> int:
-    catalog, state, scorer = _load_for_query(args)
+    catalog, state, _, embedding = _load_for_query(args)
     title = corpus.title_matrix([state.vocab.encode(corpus.tokenize(args.query))],
                                 state.vocab.size)
     if title.size and (title == state.vocab.unk_index).all():
         print("warning: every query token is out of vocabulary", file=sys.stderr)
     q, _ = encode_batch(state.params_e, state.table, title)
-    sims = cosine_to_all(q, scorer.vectors.embedding)[0]
+    sims = cosine_to_all(q, embedding)[0]
     top = _top_k(sims, args.top_n)
     _print_top(catalog, top, sims[top])
     return 0
 
 
 def cmd_next(args) -> int:
-    catalog, _, scorer = _load_for_query(args)
+    catalog, state, token_ids, embedding = _load_for_query(args)
     ctx = np.array([_resolve(catalog, e) for e in args.context], dtype=np.int64)
-    scores = scorer.score_all(ctx)
+    # the scorer holds the context vectors of the distinct context products only
+    rows, at = np.unique(ctx, return_inverse=True)
+    vectors = model.ProductVectors(embedding, _context_rows(state, token_ids, rows))
+    scores = _scorer(state, vectors).score_all(at)
     top = _top_k(scores, args.top_n, exclude=ctx)
     _print_top(catalog, top, scores[top])
     return 0
@@ -268,63 +291,77 @@ def _add_model_flags(p):
                    help="keep title words seen at least this many times (>= 1)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="bastext",
-                                     description="Basket-text embedding pipeline")
-    sub = parser.add_subparsers(dest="command", required=True)
+COMMANDS = ("ingest", "split", "train", "evaluate", "similar", "alsobuy", "search", "next")
 
-    p = sub.add_parser("ingest", help="normalize raw transactions into the canonical corpus")
-    p.add_argument("--format", choices=["onlineretail", "instacart", "canonical"],
-                   required=True)
-    p.add_argument("paths", nargs="+")
-    _add_common(p)
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("split", help="partition baskets into train/validation/test")
-    p.add_argument("--ratios", default="0.85,0.05,0.10")
-    p.add_argument("--cold", action="store_true")
-    p.add_argument("--cold-fraction", type=float, default=0.10)
-    _add_common(p, seed=True)
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("train", help="train the basket-text model")
-    p.add_argument("--cold", action="store_true", help="train on the cold split")
-    _add_model_flags(p)
-    _add_common(p, seed=True)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="rank test cases and report Recall/MRR")
-    p.add_argument("--method", choices=["bastext", "pop", "itemknn", "prod2vec", "external"],
-                   default="bastext")
-    p.add_argument("--cold", action="store_true")
-    p.add_argument("--pool", choices=["all", "test-products"], default="all")
-    p.add_argument("--knn-last-item", action="store_true",
-                   help="ItemKNN scores with the last context item only")
-    p.add_argument("--scores", default=None, help="external score file for --method external")
-    p.add_argument("--ns", default="10,20", help="comma-separated N values")
-    p.add_argument("--k", type=int, default=64)
-    p.add_argument("--neg", type=int, default=8)
-    _add_common(p, seed=True)
-    p.set_defaults(func=cmd_evaluate)
-
-    for name, fn, extra in (("similar", cmd_similar, "product"),
-                            ("alsobuy", cmd_alsobuy, "product"),
-                            ("search", cmd_search, "query"),
-                            ("next", cmd_next, "context")):
+def _add_command(sub, name: str) -> None:
+    """Add command `name`'s parser to `sub`. Its `func`, `cmd_<name>`, is looked up in the
+    module globals now, so a `cmd_*` rebound after import is the one that runs."""
+    if name == "ingest":
+        p = sub.add_parser("ingest", help="normalize raw transactions into the canonical corpus")
+        p.add_argument("--format", choices=["onlineretail", "instacart", "canonical"],
+                       required=True)
+        p.add_argument("paths", nargs="+")
+        _add_common(p)
+    elif name == "split":
+        p = sub.add_parser("split", help="partition baskets into train/validation/test")
+        p.add_argument("--ratios", default="0.85,0.05,0.10")
+        p.add_argument("--cold", action="store_true")
+        p.add_argument("--cold-fraction", type=float, default=0.10)
+        _add_common(p, seed=True)
+    elif name == "train":
+        p = sub.add_parser("train", help="train the basket-text model")
+        p.add_argument("--cold", action="store_true", help="train on the cold split")
+        _add_model_flags(p)
+        _add_common(p, seed=True)
+    elif name == "evaluate":
+        p = sub.add_parser("evaluate", help="rank test cases and report Recall/MRR")
+        p.add_argument("--method", choices=["bastext", "pop", "itemknn", "prod2vec", "external"],
+                       default="bastext")
+        p.add_argument("--cold", action="store_true")
+        p.add_argument("--pool", choices=["all", "test-products"], default="all")
+        p.add_argument("--knn-last-item", action="store_true",
+                       help="ItemKNN scores with the last context item only")
+        p.add_argument("--scores", default=None, help="external score file for --method external")
+        p.add_argument("--ns", default="10,20", help="comma-separated N values")
+        p.add_argument("--k", type=int, default=64)
+        p.add_argument("--neg", type=int, default=8)
+        _add_common(p, seed=True)
+    else:
         p = sub.add_parser(name, help=f"{name} query against a trained model")
-        if extra == "context":
+        if name == "next":
             p.add_argument("context", nargs="+", help="external ids of basket products")
         else:
-            p.add_argument(extra)
+            p.add_argument("query" if name == "search" else "product")
         p.add_argument("--model", default=None, help="model file (default: <out>/models/model.bin)")
         p.add_argument("--top-n", type=int, default=10)
         _add_common(p)
-        p.set_defaults(func=fn)
+    p.set_defaults(func=globals()[f"cmd_{name}"])
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone.
+
+    The one-command parser prints the same help and errors for `command` as the full
+    one: its usage line still lists every command.
+    """
+    parser = argparse.ArgumentParser(prog="bastext",
+                                     description="Basket-text embedding pipeline")
+    # A metavar would rename the full parser's "required: command" error, so only the
+    # one-command parser spells out the full list it stands in for.
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if command is None else "{%s}" % ",".join(COMMANDS))
+    for name in COMMANDS if command is None else (command,):
+        _add_command(sub, name)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command. Only that command's parser is built; an `argv` that does not
+    start with a command (help, a typo, nothing) gets the full parser and its message."""
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (corpus.CorpusError, model.ModelError, evaluation.EvalError, EncoderError) as exc:

@@ -215,17 +215,19 @@ def _mov_forward(params: MovParams, table: WordInputTable, token_ids, dropout_ra
     S = _mean_matrix(token_ids, table.vocab_size, dtype)
     # the mean input vector: S itself for one-hot words
     x = S if table.vectors is None else np.asarray(S @ table.vectors.astype(dtype, copy=False))
-    pre = np.asarray(x @ params.W)
-    h = np.maximum(pre, 0)
+    h = np.maximum(np.asarray(x @ params.W), 0)
     mask = _dropout_mask(h.shape, dropout_rate, rng, dtype)
     out = h if mask is None else h * mask
-    cache = {"S": S, "x": x, "relu": pre > 0, "drop": mask}
+    # The cache keeps the output, which the caller holds anyway, in place of a relu mask
+    cache = {"S": S, "x": x, "out": out, "drop": mask}
     return out, cache
 
 
 def _mov_backward(params: MovParams, cache, d_out, want_input_grads):
     d_h = d_out if cache["drop"] is None else d_out * cache["drop"]
-    d_pre = d_h * cache["relu"]
+    # out > 0 exactly where pre > 0 (NaN included) and the dropout mask is not 0; where the
+    # mask is 0, d_h is already 0 either way
+    d_pre = d_h * (cache["out"] > 0)
     grads = {"W": np.asarray(cache["x"].T @ d_pre)}
     if want_input_grads:
         grads["input"] = np.asarray(cache["S"].T @ (d_pre @ params.W.T))

@@ -94,7 +94,7 @@ class ModelState:
 @dataclass
 class ProductVectors:
     embedding: np.ndarray  # (M, K) rows h_i
-    context: np.ndarray  # (M, K) rows h'_i
+    context: np.ndarray  # (M, K) rows h'_i, or a query's context products' rows only
 
 
 def init_model(config: ModelConfig, vocab: Vocabulary, table: WordInputTable | None = None,

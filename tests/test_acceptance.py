@@ -312,12 +312,35 @@ def test_instacart_split_on_tiny_files(tmp_path):
     assert split.mode == "warm" and len(form_test_cases(split)) > 0
 
 
+def _onlineretail_split(path):
+    """Criterion 6's OnlineRetail data: the catalog, a warm split of every basket and the
+    vocabulary of words seen at least twice."""
+    catalog, baskets, _ = import_dataset("onlineretail", [path])
+    return catalog, split_warm(baskets, seed=0), build_vocabulary(catalog, min_count=2)
+
+
+def test_onlineretail_split_on_a_tiny_file(tmp_path):
+    """`_onlineretail_split` runs on a generated transaction CSV, so an API change cannot
+    break criterion 6's OnlineRetail part while its data is absent."""
+    rng = np.random.default_rng(2)
+    words = ["WHITE", "HEART", "LANTERN", "RED", "MUG", "BAG"]
+    rows = [(f"5{o:05d}", f"8{p:04d}", f"{words[p % 6]} {words[(p * 5 + 1) % 6]}")
+            for o in range(50) for p in rng.choice(20, 4, replace=False).tolist()]
+    path = tmp_path / "OnlineRetail.csv"
+    path.write_text("InvoiceNo,StockCode,Description,Quantity\n"
+                    + "".join(f"{o},{p},{d},1\n" for o, p, d in rows))
+    catalog, split, vocab = _onlineretail_split(path)
+    parts = (split.train, split.validation, split.test)
+    source_ids = [s for part in parts for s in part.source_ids.tolist()]
+    assert len(catalog) == 20 and vocab.words() == sorted(w.lower() for w in words)
+    assert sorted(source_ids) == sorted({o for o, _, _ in rows})
+    assert split.mode == "warm" and len(form_test_cases(split)) > 0
+
+
 def test_criterion_6_real_data_ordering():
     if not ONLINERETAIL.exists():
         _skip(6, f"OnlineRetail data not present at {ONLINERETAIL}")
-    catalog, baskets, _ = import_dataset("onlineretail", [ONLINERETAIL])
-    vocab = build_vocabulary(catalog, min_count=2)
-    split = split_warm(baskets, seed=0)
+    catalog, split, vocab = _onlineretail_split(ONLINERETAIL)
     cfg = ModelConfig(k=64, negatives=8, seed=0)
     state, _ = M.train(cfg, split.train, split.validation, catalog, vocab)
     scorer = BastextScorer(M.materialize_product_vectors(state, catalog))

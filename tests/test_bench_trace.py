@@ -6,7 +6,7 @@ the functions they wrap), when `layer_metrics` cannot read the spans (it needs
 two `encode_batch` and two `backward_batch` calls inside every `_loss_arrays`)
 or when the train-layer metrics explain too little of the train wall time.
 This test runs the bench's own tracer and `layer_metrics` over ingest → split →
-train → evaluate → one query, and checks the first two. Coverage is not gated:
+train → evaluate → two queries, and checks the first two. Coverage is not gated:
 on a corpus this small, fixed costs outside the traced layers dominate. It then
 runs the bench's own report check (`verify.check_reports`) and positive count
 (`pipeline.train_positives`) on the run directory, so a change to the basket or
@@ -96,6 +96,7 @@ def test_traced_pipeline_reports_every_layer_metric(tmp_path, capsys, encoder, c
                    "--epochs", "1"]),
         *((f"evaluate:{m}", ["evaluate", *mode, "--method", m]) for m in CHECKED),
         ("similar", ["similar", catalog.external_ids()[0]]),
+        ("alsobuy", ["alsobuy", catalog.external_ids()[1]]),
     ]
 
     tracer = tracer_mod.Tracer()
@@ -119,11 +120,13 @@ def test_traced_pipeline_reports_every_layer_metric(tmp_path, capsys, encoder, c
     assert all(math.isfinite(v) for v in layers.values())
     # the spans were recorded: both towers ran forward inside the loss
     assert layers["encoders.forward_E.s"] > 0 and layers["encoders.forward_C.s"] > 0
-    assert layers["cli.query.calls"] == 1
+    assert layers["cli.query.calls"] == 2
 
     # The row counters read `len()` of the title argument: a title format must answer it
-    # with its row count. In `similar`, each tower encodes the whole catalog once.
-    spans, similar = tracer.spans, len(steps) - 1
+    # with its row count. A query encodes the whole catalog through the candidate tower
+    # once, while loading, and through the context tower only the rows it reads: none
+    # in `similar`, the one product's row in `alsobuy`.
+    spans, similar, alsobuy = tracer.spans, len(steps) - 2, len(steps) - 1
 
     def under(i, name):
         while spans[i][3] >= 0:
@@ -134,9 +137,14 @@ def test_traced_pipeline_reports_every_layer_metric(tmp_path, capsys, encoder, c
 
     counted = ["encoders.encode_batch"] + (["encoders._mean_matrix"] if encoder == "mov" else [])
     for fn in counted:
-        rows = [s[5] for i, s in enumerate(spans) if s[0] == fn and s[4] == similar
-                and under(i, "model.materialize_product_vectors")]
-        assert rows == [len(catalog)] * 2, fn
+        for command, context_rows in ((similar, []), (alsobuy, [1])):
+            calls = [i for i, s in enumerate(spans) if s[0] == fn and s[4] == command]
+            loading = [spans[i][5] for i in calls if under(i, "cli._load_for_query")]
+            context = [spans[i][5] for i in calls if under(i, "cli._context_rows")]
+            assert len(calls) == len(loading) + len(context), (fn, command)
+            assert loading == [len(catalog)] and context == context_rows, (fn, command)
+    assert not [s for s in spans if s[0] == "model.materialize_product_vectors"
+                and s[4] in (similar, alsobuy)]
 
     # The bench's own checks read the run directory through the program's interfaces.
     errors, facts = _bench_module("verify").check_reports(tmp_path / "run", cold, CHECKED)

@@ -207,6 +207,96 @@ def test_queries_read_only_the_catalog(tmp_path, raw_corpus, capsys):
         _run(["similar", eid0, "--out", out])
 
 
+@pytest.fixture(scope="module")
+def trained_runs(tmp_path_factory, raw_corpus):
+    """One-epoch mov and cnn runs on `raw_corpus`, by encoder."""
+    runs = {}
+    for encoder in ("mov", "cnn"):
+        out = tmp_path_factory.mktemp(encoder) / "run"
+        assert _run(["ingest", "--format", "canonical", *raw_corpus, "--out", out]) == 0
+        assert _run(["split", "--out", out]) == 0
+        assert _run(["train", "--out", out, "--encoder", encoder, "--k", "16", "--epochs", "1",
+                     "--batch-size", "256"]) == 0
+        runs[encoder] = out
+    return runs
+
+
+def _whole_catalog_query(out: Path, query: str, ids: list[str]) -> str:
+    """What `query` printed when every product's vectors were materialized first: the
+    context vectors of the whole catalog, scored as the parent code scored them."""
+    catalog = corpus.read_catalog(out / "corpus" / "catalog.tsv")
+    state = model.load_model(out / "models" / "model.bin")
+    scorer = model.BastextScorer(model.materialize_product_vectors(state, catalog))
+    ctx = np.array([catalog.get(e) for e in ids], dtype=np.int64)
+    if query == "alsobuy":
+        scores = scorer.vectors.embedding @ scorer.vectors.context[ctx[0]]
+    else:
+        scores = scorer.score_all(ctx)
+    top = cli._top_k(scores, 10, exclude=ctx)
+    return "".join(f"{catalog.ids[i]}\t{scores[i]:.6f}\t{catalog.titles[i]}\n" for i in top)
+
+
+@pytest.mark.parametrize("encoder", ["mov", "cnn"])
+@pytest.mark.parametrize("query, at", [
+    ("alsobuy", [0]), ("alsobuy", [7]), ("next", [3, 4]), ("next", [5, 5]),
+    ("next", [2, 9, 2]), ("next", [1, 8, 30]),
+], ids=["alsobuy", "alsobuy-7", "next", "next-repeated", "next-3-repeated", "next-3"])
+def test_context_rows_print_what_whole_catalog_vectors_print(trained_runs, capsys, encoder,
+                                                             query, at):
+    """`alsobuy` and `next` encode only their context products' rows; each row, and so
+    the printed scores, are bitwise those of encoding the whole catalog."""
+    out = trained_runs[encoder]
+    ids = [corpus.read_catalog(out / "corpus" / "catalog.tsv").ids[i] for i in at]
+    capsys.readouterr()
+    assert _run([query, *ids, "--out", out]) == 0
+    assert capsys.readouterr().out == _whole_catalog_query(out, query, ids)
+
+
+def _exit_of(parse, argv, capsys):
+    """(exit code, stdout, stderr) of `parse(argv)`, which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    printed = capsys.readouterr()
+    return exc.value.code, printed.out, printed.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], *([command, "--help"] for command in cli.COMMANDS), ["bogus"], [],
+    ["similar", "p0", "--bogus"], ["next"], ["train", "--k", "x"],
+], ids=lambda argv: " ".join(argv) or "no-args")
+def test_one_command_parser_prints_what_the_full_parser_prints(capsys, argv):
+    """`main` builds the named command's parser only; help and errors keep every byte."""
+    full = _exit_of(cli.build_parser().parse_args, argv, capsys)
+    assert _exit_of(cli.main, argv, capsys) == full
+
+
+def test_main_builds_only_the_named_command(monkeypatch, capsys):
+    built = []
+    real_add = cli._add_command
+    monkeypatch.setattr(cli, "_add_command", lambda sub, name: (built.append(name),
+                                                                 real_add(sub, name)))
+    for argv, names in ((["similar", "--help"], ["similar"]),
+                        (["--help"], list(cli.COMMANDS)), (["bogus"], list(cli.COMMANDS))):
+        built.clear()
+        _exit_of(cli.main, argv, capsys)
+        assert built == names, argv
+
+
+def test_parser_errors_name_every_command(capsys):
+    code, _, err = _exit_of(cli.main, ["bogus"], capsys)
+    choices = ", ".join(f"'{c}'" for c in cli.COMMANDS)
+    assert code == 2 and f"invalid choice: 'bogus' (choose from {choices})" in err
+    assert len(cli.COMMANDS) == 8
+    code, _, err = _exit_of(cli.main, [], capsys)
+    assert code == 2 and err.endswith("error: the following arguments are required: command\n")
+
+
+def test_main_reads_sys_argv_when_argv_is_none(monkeypatch, capsys):
+    help_text = _exit_of(cli.build_parser().parse_args, ["ingest", "--help"], capsys)
+    monkeypatch.setattr(sys, "argv", ["bastext", "ingest", "--help"])
+    assert _exit_of(lambda argv: cli.main(), None, capsys) == help_text
+
+
 def test_finetune_pretrained_round_trip(tmp_path, raw_corpus, capsys):
     """`train --pretrained --finetune-pretrained` saves the tuned table; evaluate and search
     run on it."""
