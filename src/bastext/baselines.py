@@ -16,7 +16,7 @@ from scipy.special import expit
 
 from .corpus import Baskets, leave_one_out
 from .evaluation import ContextScorer
-from .kernels import cosine_to_all, scatter_rows, segment_mean
+from .kernels import EvalError, cosine_to_all, scatter_rows, segment_mean
 
 
 class PopModel(ContextScorer):
@@ -115,6 +115,11 @@ class Prod2vecConfig:
     negatives: int = 8
     epochs: int = 5
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("k", "negatives", "epochs"):
+            if getattr(self, name) < 1:
+                raise EvalError(f"prod2vec {name} must be >= 1, got {getattr(self, name)}")
 
 
 class Prod2vecModel(ContextScorer):

@@ -324,8 +324,10 @@ def _add_command(sub, name: str) -> None:
                        help="ItemKNN scores with the last context item only")
         p.add_argument("--scores", default=None, help="external score file for --method external")
         p.add_argument("--ns", default="10,20", help="comma-separated N values")
-        p.add_argument("--k", type=int, default=64)
-        p.add_argument("--neg", type=int, default=8)
+        p.add_argument("--k", type=int, default=64,
+                       help="prod2vec embedding size (>= 1); read by --method prod2vec only")
+        p.add_argument("--neg", type=int, default=8,
+                       help="prod2vec negatives per pair (>= 1); read by --method prod2vec only")
         _add_common(p, seed=True)
     else:
         p = sub.add_parser(name, help=f"{name} query against a trained model")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import hashlib
 import itertools
 import os
@@ -106,19 +107,17 @@ class Baskets:
 
 
 class Catalog:
-    """Dense-id product catalog held as columns: product i has external id `ids[i]` and
-    title `titles[i]`; ids are contiguous 0..M-1 in insertion order.
+    """Dense-id product catalog built from its two columns: product i has external id
+    `ids[i]` and title `titles[i]`, so ids are contiguous 0..M-1 in column order.
 
-    The titles are tokenized on first use, all at once, and the result is kept until
-    the next `add`."""
+    The titles are tokenized on first use, all at once."""
 
-    def __init__(self, ids=(), titles=()):
+    def __init__(self, ids, titles):
         self.ids: list[str] = list(ids)
         self.titles: list[str] = list(titles)
         self._by_external: dict[str, int] = dict(zip(self.ids, range(len(self.ids))))
         if len(self._by_external) != len(self.ids) or len(self.titles) != len(self.ids):
             raise CorpusError("a catalog needs one title per external id, each id once")
-        self._tokens = None
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -128,22 +127,10 @@ class Catalog:
         """A read-only sequence of `Product` rows, each made when it is read."""
         return _Products(self)
 
-    @property
+    @functools.cached_property
     def tokens(self) -> tuple[list[str], np.ndarray]:
-        """`tokenize_titles` of every title, computed once."""
-        if self._tokens is None:
-            self._tokens = tokenize_titles(self.titles)
-        return self._tokens
-
-    def add(self, external_id: str, title: str) -> int:
-        if external_id in self._by_external:
-            return self._by_external[external_id]
-        pid = len(self.ids)
-        self.ids.append(external_id)
-        self.titles.append(title)
-        self._by_external[external_id] = pid
-        self._tokens = None
-        return pid
+        """`tokenize_titles` of every title."""
+        return tokenize_titles(self.titles)
 
     def get(self, external_id: str) -> int | None:
         return self._by_external.get(external_id)
@@ -308,23 +295,6 @@ def _read_titles(path: Path) -> tuple[dict[str, str], int]:
     return titles, skipped
 
 
-# Every line break `str.splitlines` knows.
-_LINE_BREAKS = dict.fromkeys(map(ord, "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"), " ")
-
-
-def _single_line(titles: dict[str, str]) -> dict[str, str]:
-    """The titles with each line break replaced by a space, so that each stays on its
-    `catalog.tsv` line; their tokens do not change."""
-    return {ext: title.translate(_LINE_BREAKS) for ext, title in titles.items()}
-
-
-def _transactions(groups: dict[str, set[str]]):
-    """(members, lens, source_ids) of grouped transactions, in sorted source-id order."""
-    keys = sorted(groups)
-    lens = np.array([len(groups[k]) for k in keys], dtype=np.int64)
-    return [m for k in keys for m in groups[k]], lens, np.array(keys, dtype=object)
-
-
 def _read_canonical(paths: list[Path]):
     """One or two files: [baskets] or [catalog, baskets].
 
@@ -359,16 +329,63 @@ def _find_column(header: list[str], *needles: str) -> int | None:
     return None
 
 
+def _csv_rows(path: Path):
+    """The rows of a CSV file, header first, read as UTF-8 with each undecodable byte
+    as U+FFFD. A record csv cannot parse raises `CorpusError` naming the line it starts on."""
+    with path.open(encoding="utf-8", errors="replace", newline="") as fh:
+        reader = csv.reader(fh)
+        line = 1
+        try:
+            for row in reader:
+                yield row
+                line = reader.line_num + 1
+        except csv.Error as exc:
+            raise CorpusError(f"{path}:{line}: malformed CSV: {exc}") from None
+
+
+# Every line break `str.splitlines` knows.
+_LINE_BREAKS = dict.fromkeys(map(ord, "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"), " ")
+
+
+def _csv_transactions(files):
+    """The one row loop of the CSV formats, over `(rows, id, title, key)` per file: `rows`
+    iterates the file's rows after its header, and the other three are column indices,
+    `title` or `key` None where the file has no such column.
+
+    A row is skipped and counted when it is too short for its columns, its basket key is
+    blank, or its id is not exactly one whitespace-free token. An id takes its first
+    title, with each line break a space so that the title stays on its `catalog.tsv`
+    line. Baskets come in sorted key order, and a member without a title leaves its basket.
+    """
+    titles: dict[str, str] = {}
+    groups: dict[str, set[str]] = {}
+    skipped = 0
+    for rows, pid, title, key in files:
+        width = max(c for c in (pid, title, key) if c is not None) + 1
+        for row in rows:
+            if (len(row) < width or (key is not None and not row[key].strip())
+                    or len(row[pid].split()) != 1):
+                skipped += 1
+                continue
+            ext = row[pid].strip()
+            if title is not None:
+                titles.setdefault(ext, row[title].strip())
+            if key is not None:
+                groups.setdefault(row[key].strip(), set()).add(ext)
+    keys = sorted(groups)
+    members = [[m for m in groups[k] if m in titles] for k in keys]
+    lens = np.fromiter(map(len, members), dtype=np.int64, count=len(members))
+    return ({ext: t.translate(_LINE_BREAKS) for ext, t in titles.items()},
+            list(itertools.chain.from_iterable(members)), lens, np.array(keys, dtype=object),
+            skipped)
+
+
 def _read_onlineretail(paths: list[Path]):
     """Transaction CSV with invoice / stock code / description columns."""
     if len(paths) != 1:
         raise CorpusError("onlineretail format takes exactly 1 CSV path")
-    titles: dict[str, str] = {}
-    groups: dict[str, set[str]] = {}
-    skipped = 0
-    with paths[0].open(encoding="utf-8", errors="replace", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with contextlib.closing(_csv_rows(paths[0])) as rows:
+        header = next(rows, None)
         if header is None:
             raise CorpusError("empty CSV")
         inv = _find_column(header, "invoice")
@@ -376,67 +393,32 @@ def _read_onlineretail(paths: list[Path]):
         desc = _find_column(header, "description")
         if inv is None or stock is None or desc is None:
             raise CorpusError("onlineretail CSV must have invoice/stockcode/description columns")
-        width = max(inv, stock, desc) + 1
-        for row in reader:
-            if len(row) < width or not row[inv].strip() or len(row[stock].split()) != 1:
-                skipped += 1
-                continue
-            ext = row[stock].strip()
-            titles.setdefault(ext, row[desc].strip())
-            groups.setdefault(row[inv].strip(), set()).add(ext)
-    return _single_line(titles), *_transactions(groups), skipped
+        return _csv_transactions([(rows, stock, desc, inv)])
 
 
 def _read_instacart(paths: list[Path]):
-    """`products.csv` (product_id, product_name) + one or more order_products CSVs."""
+    """`products.csv` (product_id, product_name) + one or more order_products CSVs.
+
+    Every header is read before any row; a file with a product-name column is a
+    products file, and one with an order-id column otherwise an order file."""
     if len(paths) < 2:
         raise CorpusError("instacart format needs products.csv plus >=1 order_products CSV")
-    titles: dict[str, str] = {}
-    groups: dict[str, set[str]] = {}
-    skipped = 0
-    product_files, order_files = [], []
-    for p in paths:
-        with p.open(encoding="utf-8", errors="replace", newline="") as fh:
-            header = next(csv.reader(fh), [])
-        if _find_column(header, "productname") is not None:
-            product_files.append(p)
-        elif _find_column(header, "orderid") is not None:
-            order_files.append(p)
-        else:
-            raise CorpusError(f"unrecognized instacart CSV header in {p}")
-    if not product_files or not order_files:
-        raise CorpusError("instacart format needs both a products file and order files")
-
-    for p in product_files:
-        with p.open(encoding="utf-8", errors="replace", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            pid = _find_column(header, "productid")
-            name = _find_column(header, "productname")
-            if pid is None:
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(contextlib.closing(_csv_rows(p))) for p in paths]
+        headers = [next(rows, []) for rows in files]
+        names = [_find_column(h, "productname") for h in headers]
+        keys = [_find_column(h, "orderid") if n is None else None
+                for h, n in zip(headers, names)]
+        for p, name, key in zip(paths, names, keys):
+            if name is None and key is None:
+                raise CorpusError(f"unrecognized instacart CSV header in {p}")
+        if None not in names or None not in keys:
+            raise CorpusError("instacart format needs both a products file and order files")
+        pids = [_find_column(h, "productid") for h in headers]
+        for p, pid, _ in sorted(zip(paths, pids, keys), key=lambda f: f[2] is not None):
+            if pid is None:  # the products files' error first
                 raise CorpusError(f"{p}: instacart CSV has no product_id column")
-            for row in reader:
-                if len(row) <= max(pid, name) or len(row[pid].split()) != 1:
-                    skipped += 1
-                    continue
-                titles.setdefault(row[pid].strip(), row[name].strip())
-    for p in order_files:
-        with p.open(encoding="utf-8", errors="replace", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            oid = _find_column(header, "orderid")
-            pid = _find_column(header, "productid")
-            if pid is None:
-                raise CorpusError(f"{p}: instacart CSV has no product_id column")
-            for row in reader:
-                if (len(row) <= max(oid, pid) or not row[oid].strip()
-                        or len(row[pid].split()) != 1):
-                    skipped += 1
-                    continue
-                members = groups.setdefault(row[oid].strip(), set())
-                if row[pid].strip() in titles:  # a product without a title leaves its order
-                    members.add(row[pid].strip())
-    return _single_line(titles), *_transactions(groups), skipped
+        return _csv_transactions(zip(files, pids, names, keys))
 
 
 @contextlib.contextmanager

@@ -25,20 +25,19 @@ class TestCase:
 
 @dataclass(eq=False)
 class TestCases:
-    """Leave-one-out cases as CSR: case i holds out `held[i]` from basket `rows[i]`,
-    and its context is `ctx_flat[indptr[i]:indptr[i + 1]]`.
+    """Leave-one-out cases as CSR: case i holds out `held[i]`, and its context is
+    `ctx_flat[indptr[i]:indptr[i + 1]]`.
 
     An int index gives a `TestCase`, a slice (step 1) the `TestCases` of that range."""
     held: np.ndarray
     indptr: np.ndarray
     ctx_flat: np.ndarray
-    rows: np.ndarray
 
     @classmethod
     def from_positions(cls, baskets: Baskets, pos) -> "TestCases":
         """The cases holding out each flat position `pos[i]` of `baskets`' members."""
-        held, ctx_flat, ctx_lens, rows = leave_one_out(baskets.indptr, baskets.indices, pos)
-        return cls(held, np.concatenate([[0], np.cumsum(ctx_lens)]), ctx_flat, rows)
+        held, ctx_flat, ctx_lens, _ = leave_one_out(baskets.indptr, baskets.indices, pos)
+        return cls(held, np.concatenate([[0], np.cumsum(ctx_lens)]), ctx_flat)
 
     def __len__(self) -> int:
         return len(self.held)
@@ -52,8 +51,7 @@ class TestCases:
             raise IndexError("TestCases slices take step 1")
         stop = max(start, stop)
         ptr = self.indptr[start:stop + 1]
-        return TestCases(self.held[start:stop], ptr - ptr[0], self.ctx_flat[ptr[0]:ptr[-1]],
-                         self.rows[start:stop])
+        return TestCases(self.held[start:stop], ptr - ptr[0], self.ctx_flat[ptr[0]:ptr[-1]])
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
@@ -168,6 +166,9 @@ def compute_ranks(scorer, test_cases: TestCases, pool: str = "all",
     if pool == "all":
         mask = None
     elif pool == "test-products":
+        if not test_product_ids:
+            raise EvalError("the test-products pool is empty: only a cold split (--cold) "
+                            "holds test products")
         mask = np.zeros(scorer.num_products, dtype=bool)
         mask[list(test_product_ids)] = True
     else:

@@ -38,19 +38,13 @@ def make_planted_corpus(num_products: int = 200, num_communities: int = 2,
         raise ValueError("basket_size cannot exceed the smallest group size")
 
     rng = np.random.default_rng(seed)
-    catalog = Catalog()
-    community = np.empty(num_products, dtype=np.int64)
-    groups: list[np.ndarray] = []
-    pid = 0
-    for c in range(num_communities):
-        for g, size in enumerate(group_sizes):
-            members = []
-            for _ in range(size):
-                catalog.add(f"p{pid}", f"comm{c} grp{c}x{g} item{pid}")
-                community[pid] = c
-                members.append(pid)
-                pid += 1
-            groups.append(np.array(members, dtype=np.int64))
+    labels = [(c, g) for c in range(num_communities) for g, size in enumerate(group_sizes)
+              for _ in range(size)]  # (community, group) of each product
+    catalog = Catalog([f"p{pid}" for pid in range(num_products)],
+                      [f"comm{c} grp{c}x{g} item{pid}" for pid, (c, g) in enumerate(labels)])
+    community = np.array([c for c, _ in labels], dtype=np.int64)
+    groups = np.split(np.arange(num_products, dtype=np.int64),
+                      np.cumsum(group_sizes * num_communities)[:-1])
 
     members = [np.sort(rng.choice(groups[rng.integers(len(groups))], size=basket_size,
                                   replace=False)) for _ in range(num_baskets)]
@@ -62,10 +56,9 @@ def make_random_corpus(num_products: int, num_baskets: int, max_basket: int = 8,
                        seed: int = 0):
     """Uniformly random corpus (no structure), for invariant and oracle tests."""
     rng = np.random.default_rng(seed)
-    catalog = Catalog()
-    for p in range(num_products):
-        words = " ".join(f"w{rng.integers(num_products)}" for _ in range(3))
-        catalog.add(f"p{p}", words)
+    catalog = Catalog([f"p{p}" for p in range(num_products)],
+                      [" ".join(f"w{rng.integers(num_products)}" for _ in range(3))
+                       for _ in range(num_products)])
     members = [np.sort(rng.choice(num_products, size=int(rng.integers(2, max_basket + 1)),
                                   replace=False)) for _ in range(num_baskets)]
     return catalog, Baskets.from_lists(members, [f"s{i}" for i in range(num_baskets)])

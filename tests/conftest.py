@@ -8,13 +8,9 @@ from bastext.model import _sample_negative_matrix
 
 @pytest.fixture
 def tiny_catalog():
-    cat = Catalog()
-    cat.add("a", "red apple fruit")
-    cat.add("b", "green apple fruit")
-    cat.add("c", "wheat bread loaf")
-    cat.add("d", "rye bread loaf")
-    cat.add("e", "sparkling water bottle")
-    return cat
+    return Catalog(["a", "b", "c", "d", "e"],
+                   ["red apple fruit", "green apple fruit", "wheat bread loaf", "rye bread loaf",
+                    "sparkling water bottle"])
 
 
 def make_baskets(*members, source_ids=None):
@@ -29,7 +25,7 @@ def evaluated_order(scorer):
     m = scorer.num_products
     empty = np.zeros(0, dtype=np.int64)
     ranks = compute_ranks(scorer, TestCases(np.arange(m), np.zeros(m + 1, dtype=np.int64),
-                                            empty, np.arange(m)))
+                                            empty))
     return list(np.argsort(ranks, kind="stable"))
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from bastext.baselines import (ItemKnnModel, PopModel, Prod2vecConfig, Prod2vecModel,
                                sgns_batch_grads)
-from bastext.kernels import scatter_rows
+from bastext.kernels import EvalError, scatter_rows
 from bastext.synthetic import make_planted_corpus, make_random_corpus
 
 from conftest import evaluated_order, make_baskets
@@ -147,6 +147,13 @@ def test_prod2vec_deterministic():
     b = Prod2vecModel.fit(baskets, 15, cfg)
     assert np.array_equal(a.in_vecs, b.in_vecs)
     assert np.array_equal(a.out_vecs, b.out_vecs)
+
+
+@pytest.mark.parametrize("field", ["k", "negatives", "epochs"])
+def test_prod2vec_config_below_one_fatal(field):
+    for value in (0, -1):
+        with pytest.raises(EvalError, match=f"prod2vec {field} must be >= 1, got {value}"):
+            Prod2vecConfig(**{field: value})
 
 
 def test_prod2vec_self_cosine_one():

@@ -444,10 +444,22 @@ def test_ingest_skips_csv_row_whose_product_id_holds_whitespace(tmp_path, capsys
     ["train", "--epochs", "1", "--finetune-pretrained"],
     ["train", "--epochs", "1", "--patience", "0"],
     ["train", "--epochs", "1", "--min-count", "0"],
+    ["evaluate", "--method", "prod2vec", "--k", "0"],
+    ["evaluate", "--method", "prod2vec", "--k", "-1"],
+    ["evaluate", "--method", "prod2vec", "--neg", "0"],
+    ["evaluate", "--method", "prod2vec", "--neg", "-1"],
 ], ids=["cold-fraction", "ratios", "ns", "ns-zero", "top-n", "epochs-zero", "lr-zero",
-        "finetune-without-pretrained", "patience-zero", "min-count-zero"])
+        "finetune-without-pretrained", "patience-zero", "min-count-zero", "prod2vec-k-zero",
+        "prod2vec-k-negative", "prod2vec-neg-zero", "prod2vec-neg-negative"])
 def test_bad_flag_value_exits_1_without_traceback(tmp_path, raw_corpus, capsys, argv):
     _assert_cli_error_exit(tmp_path, raw_corpus, capsys, argv)
+
+
+def test_test_products_pool_on_warm_split_exits_1(tmp_path, raw_corpus, capsys):
+    """A warm split holds no test products, so their pool would rank every case outside it."""
+    _assert_cli_error_exit(tmp_path, raw_corpus, capsys,
+                           ["evaluate", "--method", "pop", "--pool", "test-products"],
+                           expect="--cold")
 
 
 def test_seed_only_on_commands_that_read_it(capsys):
@@ -523,12 +535,22 @@ def test_missing_file_exits_1_without_traceback(tmp_path, raw_corpus, capsys, ar
      {"products.csv": b"product_id,product_name\n1,red tea\n",
       "orders.csv": b"order_id,sku\n1,1\n"},
      "orders.csv: instacart CSV has no product_id column"),
+    # A quote left open runs its field past csv's 131,072-character limit.
+    (["ingest", "--format", "onlineretail", "retail.csv"],
+     {"retail.csv": b'InvoiceNo,StockCode,Description\n1,A,red tea\n1,B,"green tea\n'
+                    + b"2,C,filler\n" * 14_000},
+     "retail.csv:3: malformed CSV"),
+    (["ingest", "--format", "instacart", "products.csv", "orders.csv"],
+     {"products.csv": b"product_id,product_name\n1,red tea\n2,green tea\n",
+      "orders.csv": b'order_id,product_id\n1,1\n1,2\n2,"1\n' + b"3,1\n" * 40_000},
+     "orders.csv:4: malformed CSV"),
 ], ids=["catalog-utf8", "baskets-utf8", "query-catalog-utf8", "ingest-directory",
         "manifest-seed", "scores-utf8", "evaluate-nan-model", "next-nan-model",
         "model-shape", "model-k", "model-extra-tensor", "model-duplicate-tensor", "model-v1",
         "model-v2",
         "pretrained-text-component", "pretrained-nan-component", "pretrained-utf8",
-        "instacart-products-no-id", "instacart-orders-no-id"])
+        "instacart-products-no-id", "instacart-orders-no-id", "onlineretail-unclosed-quote",
+        "instacart-unclosed-quote"])
 def test_bad_input_file_exits_1_without_traceback(tmp_path, raw_corpus, capsys, argv, files,
                                                   expect):
     _assert_cli_error_exit(tmp_path, raw_corpus, capsys, argv, files, expect)

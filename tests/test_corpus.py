@@ -1,12 +1,15 @@
+import csv
 import hashlib
 import re
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bastext import corpus
 from bastext.corpus import (Catalog, CorpusError, IngestStats, atomic_write, build_vocabulary,
                             encode_catalog, import_dataset, leave_one_out, load_split_manifest,
                             read_catalog, save_split_manifest, split_cold, split_warm,
@@ -78,10 +81,9 @@ def test_catalog_tokenizer_equals_per_title_regex(titles):
     assert cat.content_hash() == h.hexdigest()
 
 
-def test_catalog_add_forgets_its_tokens():
-    cat = Catalog(["x"], ["red tea"])
-    assert cat.tokens[0] == ["red", "tea"]
-    cat.add("y", "Green TEA")
+def test_catalog_products_view_reads_its_columns():
+    cat = Catalog(["x", "y"], ["red tea", "Green TEA"])
+    assert cat.tokens is cat.tokens  # tokenized once
     assert cat.tokens[0] == ["red", "tea", "green", "tea"]
     assert cat.tokens[1].tolist() == [2, 2]
     assert cat.products[-1] == cat.products[1]
@@ -97,18 +99,14 @@ def test_catalog_add_forgets_its_tokens():
 # ---------------------------------------------------------------------------
 
 def test_vocabulary_counts_min_count_1():
-    cat = Catalog()
-    cat.add("x", "a b")
-    cat.add("y", "a c")
+    cat = Catalog(["x", "y"], ["a b", "a c"])
     vocab = build_vocabulary(cat, min_count=1)
     assert vocab.size == 3
     assert vocab.unk_index == 3
 
 
 def test_vocabulary_min_count_2():
-    cat = Catalog()
-    cat.add("x", "a b")
-    cat.add("y", "a c")
+    cat = Catalog(["x", "y"], ["a b", "a c"])
     vocab = build_vocabulary(cat, min_count=2)
     assert vocab.size == 1
     assert set(vocab.word_to_index) == {"a"}
@@ -118,8 +116,7 @@ def test_vocabulary_min_count_2():
 
 
 def test_vocabulary_unknown_maps_to_unk():
-    cat = Catalog()
-    cat.add("x", "a b")
+    cat = Catalog(["x"], ["a b"])
     vocab = build_vocabulary(cat)
     enc = vocab.encode(["a", "zzz"])
     assert enc[0] < vocab.size
@@ -137,10 +134,7 @@ def test_title_matrix_layout():
 
 
 def test_encode_catalog_maps_rare_words_to_unk():
-    cat = Catalog()
-    cat.add("x", "red apple")
-    cat.add("y", "apple")
-    cat.add("z", "")
+    cat = Catalog(["x", "y", "z"], ["red apple", "apple", ""])
     vocab = build_vocabulary(cat, min_count=2)  # apple = 0; red is UNK = 1; PAD = 2
     assert encode_catalog(cat, vocab).tolist() == [[1, 0], [0, 2], [2, 2]]
     cat, _ = make_random_corpus(50, 10, seed=4)
@@ -344,6 +338,170 @@ def test_import_dataset_matches_reference_reader(tmp_path_factory, catalog_lines
     assert stats == want_stats
 
 
+def _reference_transactions(groups):
+    keys = sorted(groups)
+    lens = np.array([len(groups[k]) for k in keys], dtype=np.int64)
+    return [m for k in keys for m in groups[k]], lens, np.array(keys, dtype=object)
+
+
+def _reference_single_line(titles):
+    breaks = dict.fromkeys(map(ord, "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"), " ")
+    return {ext: title.translate(breaks) for ext, title in titles.items()}
+
+
+def _reference_onlineretail(paths):
+    """The OnlineRetail reader with its own row loop that the shared CSV reader replaced,
+    kept as its reference: it returns what `import_dataset` builds from."""
+    if len(paths) != 1:
+        raise CorpusError("onlineretail format takes exactly 1 CSV path")
+    titles, groups, skipped = {}, {}, 0
+    with paths[0].open(encoding="utf-8", errors="replace", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise CorpusError("empty CSV")
+        inv = corpus._find_column(header, "invoice")
+        stock = corpus._find_column(header, "stockcode", "stock")
+        desc = corpus._find_column(header, "description")
+        if inv is None or stock is None or desc is None:
+            raise CorpusError("onlineretail CSV must have invoice/stockcode/description columns")
+        width = max(inv, stock, desc) + 1
+        for row in reader:
+            if len(row) < width or not row[inv].strip() or len(row[stock].split()) != 1:
+                skipped += 1
+                continue
+            ext = row[stock].strip()
+            titles.setdefault(ext, row[desc].strip())
+            groups.setdefault(row[inv].strip(), set()).add(ext)
+    return _reference_single_line(titles), *_reference_transactions(groups), skipped
+
+
+def _reference_instacart(paths):
+    """The Instacart reader with its own row loops that the shared CSV reader replaced,
+    kept as its reference: products files are read whole before any order file."""
+    if len(paths) < 2:
+        raise CorpusError("instacart format needs products.csv plus >=1 order_products CSV")
+    titles, groups, skipped = {}, {}, 0
+    product_files, order_files = [], []
+    for p in paths:
+        with p.open(encoding="utf-8", errors="replace", newline="") as fh:
+            header = next(csv.reader(fh), [])
+        if corpus._find_column(header, "productname") is not None:
+            product_files.append(p)
+        elif corpus._find_column(header, "orderid") is not None:
+            order_files.append(p)
+        else:
+            raise CorpusError(f"unrecognized instacart CSV header in {p}")
+    if not product_files or not order_files:
+        raise CorpusError("instacart format needs both a products file and order files")
+    for p in product_files:
+        with p.open(encoding="utf-8", errors="replace", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader)
+            pid = corpus._find_column(header, "productid")
+            name = corpus._find_column(header, "productname")
+            if pid is None:
+                raise CorpusError(f"{p}: instacart CSV has no product_id column")
+            for row in reader:
+                if len(row) <= max(pid, name) or len(row[pid].split()) != 1:
+                    skipped += 1
+                    continue
+                titles.setdefault(row[pid].strip(), row[name].strip())
+    for p in order_files:
+        with p.open(encoding="utf-8", errors="replace", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader)
+            oid = corpus._find_column(header, "orderid")
+            pid = corpus._find_column(header, "productid")
+            if pid is None:
+                raise CorpusError(f"{p}: instacart CSV has no product_id column")
+            for row in reader:
+                if (len(row) <= max(oid, pid) or not row[oid].strip()
+                        or len(row[pid].split()) != 1):
+                    skipped += 1
+                    continue
+                members = groups.setdefault(row[oid].strip(), set())
+                if row[pid].strip() in titles:
+                    members.add(row[pid].strip())
+    return _reference_single_line(titles), *_reference_transactions(groups), skipped
+
+
+@st.composite
+def _csv_rows(draw, good: dict, bad: dict, extras: list):
+    """A CSV file's rows: a header of `good`'s column names and some `extras` in any order,
+    then rows of `good` values mixed with rows that may take `bad` values or be cut short."""
+    header = draw(st.permutations([*good, *draw(st.lists(st.sampled_from(extras), unique=True))]))
+
+    def rows(bad_too, cuts, **size):
+        return st.lists(st.tuples(st.fixed_dictionaries(
+            {c: st.sampled_from(good[c] + (bad[c] if bad_too else [])) for c in good}),
+            st.sampled_from(cuts)), **size)
+    mixed = draw(rows(False, [None], min_size=2, max_size=12)) + draw(
+        rows(True, [None, *range(len(header))], max_size=6))
+    return [header] + [[values.get(c, "7") for c in header][:cut]
+                       for values, cut in draw(st.permutations(mixed))]
+
+
+# Values of kept rows, and the values that get a row skipped: blank invoices and order
+# ids, and ids that are not one token. A blank title keeps its row but drops its product.
+_KEY, _BAD_KEY = ["1", "2", "3"], ["", " "]
+_PID, _BAD_PID = ["1", "2", "3", " 4 "], ["1 2", "", "\t"]
+_NAME = ["red tea", "Green\nTea", "tea\r\nbag", "rye 9", "", "  "]
+_RETAIL = st.tuples(st.just("onlineretail"), st.lists(_csv_rows(
+    {"InvoiceNo": _KEY, "StockCode": _PID, "Description": _NAME},
+    {"InvoiceNo": _BAD_KEY, "StockCode": _BAD_PID, "Description": []},
+    ["Quantity", "Country"]), min_size=1, max_size=1))
+# Products files and order files in any order; an order product without a title (9 never
+# has one) leaves its order, which may be left empty.
+_INSTACART = st.tuples(st.just("instacart"), st.tuples(
+    st.lists(_csv_rows({"product_id": _PID, "product_name": _NAME},
+                       {"product_id": _BAD_PID, "product_name": []}, ["aisle_id"]),
+             min_size=1, max_size=2),
+    st.lists(_csv_rows({"order_id": _KEY, "product_id": _PID + ["9"]},
+                       {"order_id": _BAD_KEY, "product_id": _BAD_PID},
+                       ["add_to_cart_order", "reordered"]), min_size=1, max_size=2),
+).flatmap(lambda files: st.permutations(files[0] + files[1])))
+
+
+def _ingest_result(fmt, paths):
+    """What `import_dataset` gives: catalog columns, CSR arrays, source ids and stats,
+    or the message of the `CorpusError` it raises."""
+    try:
+        catalog, baskets, stats = import_dataset(fmt, paths)
+    except CorpusError as exc:
+        return str(exc)
+    assert baskets.indptr.dtype == baskets.indices.dtype == np.int64
+    return (catalog.ids, catalog.titles, baskets.indptr.tolist(), baskets.indices.tolist(),
+            baskets.source_ids.tolist(), stats)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_RETAIL, _INSTACART), st.sampled_from(["\n", "\r\n"]))
+@example(("instacart", [[["order_id", "product_id"], ["1", "1"], ["1", "2"], ["1", "9"],
+                         ["2", "9"], ["2", "1 2"], ["", "2"]],
+                        [["product_name", "aisle_id", "product_id"], ["red tea", "7", "1"],
+                         ["Green\nTea", "7", "2"], ["rye", "7", "2"], ["tea", "7"]]]), "\n")
+@example(("onlineretail", [[["Description", "InvoiceNo", "Quantity", "StockCode"],
+                            ["tea\r\nbag", "1", "6", "A"], ["red tea", "1", "6", " B "],
+                            ["other", "1", "6", "A"], ["x", "2", "6", "A 1"], ["x", " "],
+                            ["y", "", "6", "C"]]]), "\r\n")
+def test_csv_ingest_matches_reference_readers(tmp_path_factory, fmt_files, newline):
+    """Reordered and extra columns, short rows, blank invoices and order ids, ids holding
+    whitespace, repeated ids with other titles, line breaks in quoted titles, order
+    products without a title, orders left empty and Instacart files in either order:
+    catalog columns, CSR arrays, source ids and stats equal the reference readers'."""
+    fmt, files = fmt_files
+    d = tmp_path_factory.mktemp("csv")
+    paths = [d / f"f{i}.csv" for i in range(len(files))]
+    for path, rows in zip(paths, files):
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator=newline).writerows(rows)
+    reference = {"onlineretail": _reference_onlineretail, "instacart": _reference_instacart}
+    with mock.patch.object(corpus, f"_read_{fmt}", reference[fmt]):
+        want = _ingest_result(fmt, paths)
+    assert _ingest_result(fmt, paths) == want
+
+
 # ---------------------------------------------------------------------------
 # Splits
 # ---------------------------------------------------------------------------
@@ -471,10 +629,7 @@ def _bad_tensor_state():
 
 
 def _two_product_catalog():
-    cat = Catalog()
-    cat.add("a", "red tea")
-    cat.add("b", "green tea")
-    return cat
+    return Catalog(["a", "b"], ["red tea", "green tea"])
 
 
 def _manifest_with_unknown_test_product(path):

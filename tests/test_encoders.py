@@ -382,8 +382,7 @@ def test_dropout_inverted_scaling():
 
 
 def test_load_pretrained_vectors(tmp_path):
-    cat = Catalog()
-    cat.add("x", "alpha beta gamma")
+    cat = Catalog(["x"], ["alpha beta gamma"])
     vocab = build_vocabulary(cat)
     f = tmp_path / "vecs.txt"
     f.write_text("alpha 1 0 0 0\nbeta 0 1 0 0\nunrelated 9 9 9 9\n")
@@ -400,8 +399,7 @@ def test_load_pretrained_vectors(tmp_path):
     (b"b\xe9ta 0 1\n", "vecs.txt:2: invalid UTF-8"),
 ], ids=["text", "inf", "overflow", "utf8"])
 def test_load_pretrained_vectors_bad_line_fatal(tmp_path, line, expect):
-    cat = Catalog()
-    cat.add("x", "alpha beta")
+    cat = Catalog(["x"], ["alpha beta"])
     vocab = build_vocabulary(cat)
     f = tmp_path / "vecs.txt"
     f.write_bytes(b"alpha 1 0\n" + line)
@@ -411,8 +409,7 @@ def test_load_pretrained_vectors_bad_line_fatal(tmp_path, line, expect):
 
 def test_load_pretrained_vectors_checks_only_vocabulary_lines(tmp_path):
     """Only a vocabulary word's line is parsed; other lines need only the right width."""
-    cat = Catalog()
-    cat.add("x", "alpha")
+    cat = Catalog(["x"], ["alpha"])
     vocab = build_vocabulary(cat)
     f = tmp_path / "vecs.txt"
     f.write_text("other nan abc\nalpha 1 2\n")
@@ -422,8 +419,7 @@ def test_load_pretrained_vectors_checks_only_vocabulary_lines(tmp_path):
 
 
 def test_load_pretrained_vectors_dim_mismatch(tmp_path):
-    cat = Catalog()
-    cat.add("x", "alpha beta")
+    cat = Catalog(["x"], ["alpha beta"])
     vocab = build_vocabulary(cat)
     f = tmp_path / "vecs.txt"
     f.write_text("alpha 1 0\nbeta 0 1 3\n")
@@ -432,8 +428,7 @@ def test_load_pretrained_vectors_dim_mismatch(tmp_path):
 
 
 def test_load_pretrained_vectors_no_match(tmp_path):
-    cat = Catalog()
-    cat.add("x", "alpha")
+    cat = Catalog(["x"], ["alpha"])
     vocab = build_vocabulary(cat)
     f = tmp_path / "vecs.txt"
     f.write_text("other 1 2\n")

@@ -19,7 +19,7 @@ def _cases(cases):
     """`TestCases` holding the given `TestCase`s in order."""
     indptr, ctx_flat, _ = _csr(cases)
     held = np.array([c.held_out_id for c in cases], dtype=np.int64)
-    return TestCases(held, indptr, ctx_flat, np.zeros(len(cases), dtype=np.int64))
+    return TestCases(held, indptr, ctx_flat)
 
 
 class FixedScorer(ContextScorer):
@@ -119,7 +119,6 @@ def test_test_cases_views_match_the_csr_rows():
                                         for c in cases] == rows
     assert (cases[-1].context_ids.tolist(), cases[-1].held_out_id) == rows[-1]
     assert [(c.context_ids.tolist(), c.held_out_id) for c in cases[3:9]] == rows[3:9]
-    assert cases[3:9].rows.tolist() == cases.rows[3:9].tolist()
     assert len(cases[9:3]) == 0 and len(cases[len(cases):]) == 0
     with pytest.raises(IndexError):
         cases[len(cases)]

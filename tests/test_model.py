@@ -482,9 +482,7 @@ def test_materialize_matches_per_product_calls(tiny_catalog, tiny_vocab):
 
 def test_materialize_empty_title_is_zero_vector():
     from bastext.corpus import Catalog
-    cat = Catalog()
-    cat.add("a", "apple")
-    cat.add("b", "")
+    cat = Catalog(["a", "b"], ["apple", ""])
     vocab = build_vocabulary(cat)
     for encoder in ("mov", "cnn"):
         state = init_model(ModelConfig(k=4, seed=0, encoder=encoder, cnn_filters=3), vocab)
@@ -649,11 +647,8 @@ def test_scores_at_least_half_without_bias():
 def test_context_pathway_learns_cooccurrence_disjoint_titles():
     # products 0 and 1 share no title words but always co-occur
     from bastext.corpus import Catalog
-    cat = Catalog()
-    cat.add("a", "alpha axe")
-    cat.add("b", "bolt bay")
-    for i in range(8):
-        cat.add(f"f{i}", f"filler{i} junk{i}")
+    cat = Catalog(["a", "b", *(f"f{i}" for i in range(8))],
+                  ["alpha axe", "bolt bay", *(f"filler{i} junk{i}" for i in range(8))])
     rng = np.random.default_rng(0)
     members = []
     for i in range(300):
